@@ -20,14 +20,18 @@ over cold) appends to the persistent ``BENCH_sweeps.json`` trajectory
 with the same config-hash regression gate as ``BENCH_kernel.json``.
 ``--quick`` shrinks the grid, keeps the gate, and optionally enforces
 ``--min-speedup`` -- the ``snapshot-smoke`` CI job runs exactly that
-(the bound is only enforced on hosts with >= 2 CPUs: the serial
-restore path needs no parallelism, but a starved single-core runner
-measures scheduling noise, not the optimization).
+(the bound is only enforced on hosts with >= 2 CPUs: a starved
+single-core runner measures scheduling noise, not the optimization).
 
-Timing methodology: both paths run serially (workers and snapshot
-children at their defaults) with the GC disabled around each timed
-region, so the speedup is pure work reduction -- shared prefixes
-simulated once instead of once per point -- not a parallelism artifact.
+Timing methodology: the GC is disabled around each timed region.  The
+cold path runs every point serially in this process.  The snapshot
+path forks one server per prefix group (two per section), and each
+server forks its continuations as soon as its prefix is built, one at
+a time at the default ``--workers`` of 1, so the two groups run side
+by side.  The speedup therefore combines work reduction -- shared
+prefixes simulated once instead of once per point -- with up to
+two-way overlap between groups; on a single core only the work
+reduction remains.
 """
 
 import gc
@@ -179,9 +183,10 @@ def main(argv=None) -> int:
     ]
     text = (
         f"Sweep snapshot speedup: mode={mode}, "
-        f"{'quick' if quick else 'full'} grid, serial timing "
-        "(cold = build + warm-up + storm per point; snapshot = shared "
-        "warm-up simulated once, restored per point)\n"
+        f"{'quick' if quick else 'full'} grid "
+        "(cold = build + warm-up + storm per point, serially; snapshot = "
+        "shared warm-up simulated once per group, groups side by side, "
+        "restored per point)\n"
         + format_table(header, rows)
     )
     publish("sweep_snapshot", text)

@@ -10,13 +10,14 @@ restore mechanisms behind :func:`repro.perf.sweeps.prefix_map`:
 
 **Fork-based copy-on-write snapshots** (:class:`SnapshotServer`).  A
 forked server process runs the shared prefix once to the divergence
-point ``t_split``, then forks one child per sweep point; each child
-applies its divergent continuation on the inherited state and ships
-the (picklable) outcome back over its own pipe.  The prefix state is
-never serialized: the :class:`~repro.sim.engine.EventQueue` is full of
-closures over the kernel (release actions, timer callbacks) that
-``pickle`` cannot ship, but ``fork`` preserves them for free, and the
-OS shares the prefix pages copy-on-write until a child diverges.
+point ``t_split``, then, without waiting for the caller, forks one
+child per sweep point; each child applies its divergent continuation
+on the inherited state and ships the (picklable) outcome back over its
+own pipe.  The prefix state is never serialized: the
+:class:`~repro.sim.engine.EventQueue` is full of closures over the
+kernel (release actions, timer callbacks) that ``pickle`` cannot ship,
+but ``fork`` preserves them for free, and the OS shares the prefix
+pages copy-on-write until a child diverges.
 
 **In-process deepcopy snapshots** (:func:`deep_snapshot`,
 :class:`SnapshotCache`) for single-run replay/bisection where forking
@@ -268,20 +269,37 @@ class SnapshotCache:
 # ----------------------------------------------------------------------
 
 def _collect_child(
-    entry: Tuple[int, int, Any], results: List[Any]
+    pending: List[Tuple[int, int, Any]], results: List[Any]
 ) -> None:
-    """Receive one child's outcome, reap it, and place the result."""
-    index, pid, conn = entry
+    """Receive the oldest pending child's outcome, reap it, place it.
+
+    The entry leaves ``pending`` only once its child is reaped, so an
+    interrupted collection leaves it for :func:`_reap`.
+    """
+    index, pid, conn = pending[0]
     try:
         kind, payload = conn.recv()
     except EOFError:
         kind, payload = "err", f"snapshot child (pid {pid}) died without a result"
-    finally:
-        conn.close()
     os.waitpid(pid, 0)
+    del pending[0]
+    conn.close()
     if kind == "err":
         raise RuntimeError(f"continuation #{index} failed:\n{payload}")
     results[index] = payload
+
+
+def _reap(pending: List[Tuple[int, int, Any]]) -> None:
+    """Kill and reap every child still pending, oldest first."""
+    while pending:
+        _index, pid, conn = pending[0]
+        with contextlib.suppress(OSError):
+            conn.close()
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(OSError):
+            os.waitpid(pid, 0)
+        del pending[0]
 
 
 def _serve(
@@ -292,34 +310,48 @@ def _serve(
 ) -> None:
     """Server-process body: prefix once, then fork the futures.
 
-    Children are forked in waves of at most ``children`` and reaped in
-    fork order; each ships ``("ok", result)`` or ``("err", traceback)``
-    over its own pipe (per-child pipes keep concurrent writes from
-    interleaving).  The continuation result must be picklable -- the
-    prefix state itself never is.
+    Runs start to finish without waiting for the parent: it sends
+    ``("ready", prefix wall seconds)`` once the prefix is built, forks
+    the continuations in waves of at most ``children`` (reaped in fork
+    order), then sends ``("done", results)``.  Each child ships
+    ``("ok", result)`` or ``("err", traceback)`` over its own pipe
+    (per-child pipes keep concurrent writes from interleaving).  The
+    continuation result must be picklable -- the prefix state itself
+    never is.
+
+    No continuation outlives its server.  A failed one makes the server
+    kill and reap the others still in flight before it reports; SIGTERM
+    (what :meth:`SnapshotServer.close` sends an abandoned server) does
+    the same and exits at once.  SIGTERM is held from each fork until
+    the child is registered in ``pending``, so none escapes that
+    cleanup.
     """
     t0 = time.perf_counter()
     state = build()
     conn.send(("ready", time.perf_counter() - t0))
-    try:
-        command = conn.recv()
-    except EOFError:
-        return  # parent abandoned the server before asking for results
-    if command != "run":
-        return
     results: List[Any] = [None] * len(continuations)
     pending: List[Tuple[int, int, Any]] = []
+    sigterm = {signal.SIGTERM}
+
+    def abandoned(_signum, _frame) -> None:
+        _reap(pending)
+        os._exit(1)
+
+    signal.signal(signal.SIGTERM, abandoned)
     try:
         for index, continuation in enumerate(continuations):
             while len(pending) >= children:
-                _collect_child(pending.pop(0), results)
+                _collect_child(pending, results)
             parent_end, child_end = multiprocessing.Pipe(duplex=False)
             sys.stdout.flush()
             sys.stderr.flush()
+            signal.pthread_sigmask(signal.SIG_BLOCK, sigterm)
             pid = os.fork()
             if pid == 0:  # the future: one sweep point on CoW state
                 code = 0
                 try:
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, sigterm)
                     conn.close()
                     parent_end.close()
                     child_end.send(("ok", continuation(state)))
@@ -329,31 +361,29 @@ def _serve(
                         child_end.send(("err", traceback.format_exc()))
                 finally:
                     os._exit(code)
-            child_end.close()
             pending.append((index, pid, parent_end))
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigterm)
+            child_end.close()
         while pending:
-            _collect_child(pending.pop(0), results)
+            _collect_child(pending, results)
     finally:
-        for _index, pid, child_conn in pending:
-            with contextlib.suppress(OSError):
-                child_conn.close()
-            with contextlib.suppress(OSError, ChildProcessError):
-                os.waitpid(pid, 0)
+        _reap(pending)
     conn.send(("done", results))
 
 
 class SnapshotServer:
     """Copy-on-write prefix server: simulate once, fork the futures.
 
-    Forks immediately on construction and starts simulating the prefix
-    (``build()``), so creating several servers overlaps their prefix
-    work.  :meth:`results` then triggers one forked child per
-    continuation and returns their outcomes in submission order.
+    Forks immediately on construction; the server simulates the prefix
+    (``build()``) and then forks one child per continuation without
+    waiting to be asked, so several servers overlap end to end.
+    :meth:`results` only collects the outcomes, in submission order.
 
-    ``children`` bounds how many continuation children run at once
-    (1 = sequential: all speedup comes from prefix reuse alone).
+    ``children`` bounds how many of this server's continuation children
+    run at once (1 = one at a time; other servers still run alongside).
     Always :meth:`close` (or use as a context manager): an abandoned
-    server is killed and reaped, never leaked.
+    server is killed and reaped together with its in-flight children,
+    never leaked.
     """
 
     def __init__(
@@ -400,7 +430,8 @@ class SnapshotServer:
     # protocol
     # ------------------------------------------------------------------
     def _recv(self) -> Tuple[str, Any]:
-        assert self._conn is not None
+        if self._conn is None:
+            raise SnapshotError(f"snapshot server {self.name!r} is closed")
         try:
             kind, payload = self._conn.recv()
         except EOFError:
@@ -418,8 +449,6 @@ class SnapshotServer:
     def ready(self) -> float:
         """Block until the shared prefix finished; its wall seconds."""
         if self.prefix_wall_s is None:
-            if self._conn is None:
-                raise SnapshotError(f"snapshot server {self.name!r} is closed")
             kind, payload = self._recv()
             if kind != "ready":
                 self.close()
@@ -430,11 +459,9 @@ class SnapshotServer:
         return self.prefix_wall_s
 
     def results(self) -> List[Any]:
-        """Fork the continuations and return their outcomes in order."""
+        """Wait for the continuations; their outcomes in order."""
         if self._results is None:
             self.ready()
-            assert self._conn is not None
-            self._conn.send("run")
             kind, payload = self._recv()
             if kind != "done":
                 self.close()
@@ -449,7 +476,8 @@ class SnapshotServer:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear the server down (idempotent; kills it if still live)."""
+        """Tear the server down (idempotent; kills it and its in-flight
+        children if still live)."""
         conn, self._conn = self._conn, None
         if conn is not None:
             with contextlib.suppress(OSError):
@@ -458,7 +486,8 @@ class SnapshotServer:
         if pid is not None:
             if self._results is None:
                 # Abandoned before completion: don't wait out the
-                # prefix, interrupt it.
+                # prefix or the continuations; the server's SIGTERM
+                # handler kills and reaps its children before exiting.
                 with contextlib.suppress(OSError, ProcessLookupError):
                     os.kill(pid, signal.SIGTERM)
             with contextlib.suppress(OSError, ChildProcessError):

@@ -151,8 +151,13 @@ def prefix_map(
     ``mode`` overrides the ``REPRO_SNAPSHOT`` mechanism; ``children``
     bounds concurrent fork-mode continuations per group (default: the
     ``REPRO_BENCH_WORKERS`` worker count).  In fork mode all group
-    servers are created up front, so distinct prefixes simulate
-    concurrently even with ``children=1``.
+    servers are created up front and each forks its continuations as
+    soon as its own prefix is built, so distinct groups overlap end to
+    end even with ``children=1`` (up to ``children`` continuations per
+    group at once); the parent only collects, in case order.  If any
+    group fails, every server is closed, taking its in-flight
+    continuations down with it, and the failure surfaces as
+    :class:`~repro.perf.snapshot.SnapshotError`.
     """
     cases = list(cases)
     mechanism = _snapshot.resolve_snapshot_mode(mode)

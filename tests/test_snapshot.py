@@ -9,6 +9,8 @@ must produce the same bytes too, just slower.
 """
 
 import copy
+import os
+import time
 
 import pytest
 
@@ -309,6 +311,24 @@ class TestSnapshotServer:
         server.close()
 
     @requires_fork
+    def test_build_error_propagates(self):
+        def bad_build():
+            raise ValueError("boom in build")
+
+        server = SnapshotServer(bad_build, [len])
+        with pytest.raises(SnapshotError, match="(?s)Traceback.*boom in build"):
+            server.results()
+        server.close()
+
+    @requires_fork
+    def test_results_after_close_raise_snapshot_error(self):
+        server = SnapshotServer(dict, [len])
+        server.ready()
+        server.close()
+        with pytest.raises(SnapshotError, match="is closed"):
+            server.results()
+
+    @requires_fork
     def test_children_see_private_state(self):
         """Copy-on-write isolation: every child mutates its own copy."""
 
@@ -323,6 +343,120 @@ class TestSnapshotServer:
             assert server.ready() >= 0.0
             results = server.results()
         assert results == [(1, (0,)), (1, (0,)), (1, (0,))]
+
+
+def _grouped_plan(case):
+    """Chaos points keyed by (defenses, warm-up): several prefix groups."""
+    defended, warm, rate, seed = case
+    spec = PrefixSpec(
+        key=("chaos", defended, warm),
+        t_split=warm,
+        build=lambda: chaos_prefix(defended, t_split=warm),
+    )
+
+    def continuation(kernel):
+        return chaos_continue(
+            kernel,
+            seed,
+            DUR,
+            wcet_overrun_rate=rate,
+            crash_rate=rate / 10,
+            clock_jitter_rate=rate / 2,
+            defenses=defended,
+            faults_from=warm,
+        )
+
+    return spec, continuation
+
+
+def _grouped_cold(case):
+    defended, warm, rate, seed = case
+    return run_chaos(
+        seed,
+        DUR,
+        wcet_overrun_rate=rate,
+        crash_rate=rate / 10,
+        clock_jitter_rate=rate / 2,
+        defenses=defended,
+        faults_from=warm,
+    )
+
+
+def _wait_for(path, timeout_s=20.0):
+    """Poll until ``path`` exists or ``timeout_s`` passes; whether it does."""
+    deadline = time.monotonic() + timeout_s
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path.exists()
+
+
+class TestPrefixGroups:
+    """Several prefix groups in one ``prefix_map`` call."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_groups_and_singleton_equal_cold(self, mode):
+        cases = [
+            (True, WARM, 5.0, 1),
+            (False, WARM, 5.0, 1),
+            (True, WARM, 50.0, 2),
+            (True, ms(150), 20.0, 1),  # a singleton group: runs cold
+            (False, WARM, 50.0, 2),
+        ]
+        cold = [_grouped_cold(case) for case in cases]
+        assert prefix_map(_grouped_plan, cases, mode=mode) == cold
+
+    @staticmethod
+    def _marker_plan(continuations):
+        """Two fork groups, ``a`` and ``b``, with trivial prefixes."""
+
+        def plan(case):
+            group, _member = case
+            spec = PrefixSpec(key=(group,), t_split=1, build=dict)
+            return spec, continuations[group]
+
+        return plan, [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+
+    @requires_fork
+    def test_fork_groups_overlap(self, tmp_path):
+        """Each group's continuations wait for the other group's: they
+        only all see each other if the groups run at the same time."""
+
+        def meet(mine, theirs):
+            def continuation(_state):
+                (tmp_path / mine).touch()
+                return _wait_for(tmp_path / theirs)
+
+            return continuation
+
+        plan, cases = self._marker_plan(
+            {"a": meet("a", "b"), "b": meet("b", "a")}
+        )
+        assert prefix_map(plan, cases, mode="fork", children=1) == [True] * 4
+
+    @requires_fork
+    def test_failed_group_leaves_no_orphans(self, tmp_path):
+        """Group ``a`` fails while group ``b``'s continuation is still
+        running: the error surfaces at once and ``b``'s child is gone."""
+        pid_file = tmp_path / "b.pid"
+
+        def fail(_state):
+            _wait_for(pid_file)
+            raise ValueError("boom in group a")
+
+        def linger(_state):
+            scratch = tmp_path / f"b.{os.getpid()}"
+            scratch.write_text(str(os.getpid()))
+            scratch.rename(pid_file)
+            time.sleep(60)
+
+        plan, cases = self._marker_plan({"a": fail, "b": linger})
+        start = time.monotonic()
+        with pytest.raises(SnapshotError, match="boom in group a"):
+            prefix_map(plan, cases, mode="fork", children=1)
+        assert time.monotonic() - start < 30
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestResolveMode:
