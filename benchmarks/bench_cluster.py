@@ -1,18 +1,16 @@
-"""Cluster synchronization sweep: lockstep vs adaptive vs parallel.
+"""Cluster synchronization sweep: lockstep vs adaptive.
 
 The multi-node analogue of the kernel perf harness: every swept
 configuration of the canonical ring-cluster workload
-(:mod:`repro.perf.clusterload`) is simulated three ways -- the
-lockstep reference synchronization (every min-frame-time window, every
-node), the adaptive conservative synchronization that jumps over
-provably silent windows, and the parallel mode that runs the adaptive
-windows sharded across forked worker processes -- and the table
-reports sim-ns per wall-second for each, the speedups, the fraction of
-windows skipped, and the delivery events suppressed by acceptance
-pre-filtering.
+(:mod:`repro.perf.clusterload`) is simulated two ways -- the lockstep
+reference synchronization (every min-frame-time window, every node)
+and the adaptive conservative synchronization that jumps over provably
+silent windows -- and the table reports sim-ns per wall-second for
+each, the speedup, the fraction of windows skipped, and the delivery
+events suppressed by acceptance pre-filtering.
 
 Correctness rides along with speed: for every configuration the
-full-record traces of all modes are compared -- per-node sha256
+full-record traces of both modes are compared -- per-node sha256
 signatures (events + jobs + segments), delivery timelines, bus and
 interface counters must be **byte-identical**, or the benchmark exits
 non-zero.  An optimization that moves these is not an optimization.
@@ -20,30 +18,20 @@ non-zero.  An optimization that moves these is not an optimization.
 The headline configurations feed the persistent ``BENCH_cluster.json``
 trajectory (same format and regression gate as ``BENCH_kernel.json``):
 the idle-heavy 8-node point (where window skipping dominates) and the
-saturated 8-node point (where delivery batching, per-node laziness,
-and worker sharding carry the win).  ``--quick`` runs just those two
-configurations, checks the >= 3x idle-heavy speedup bound and the
-signature cross-check, and gates against the committed trajectory --
-the ``cluster-perf-smoke`` CI job runs exactly that.
-
-``--parallel-smoke`` is the ``cluster-parallel-smoke`` CI job: the
-saturated headline only, three-way signature identity, a
-parallel-vs-adaptive wall-clock speedup bound (enforced only when the
-host has more cores than workers -- a starved runner measures
-scheduling, not the optimization), and the ``REPRO_CLUSTER_WORKERS=0``
-fallback path (must silently degrade to serial adaptive and still
-match byte for byte).
+saturated 8-node point (where delivery batching and per-node laziness
+carry the win).  ``--quick`` runs just those two configurations,
+checks the >= 3x idle-heavy speedup bound and the signature
+cross-check, and gates against the committed trajectory -- the
+``cluster-perf-smoke`` CI job runs exactly that.
 
 Each (nodes, utilization) case is an independent deterministic
-simulation, so the sweep fans out over ``--workers`` *sweep* processes
+simulation, so the sweep fans out over ``--workers`` sweep processes
 (``--workers 1``, the default, is recommended when the *timings*
-matter: concurrent workers contend for cores).  The cluster-level
-worker count for sync="parallel" is ``--cluster-workers``.
+matter: concurrent workers contend for cores).
 """
 
 import hashlib
 import json
-import os
 from typing import Tuple
 
 from common import (
@@ -54,11 +42,10 @@ from common import (
     sweep_map,
 )
 from repro.analysis import format_table
-from repro.net.cluster import CLUSTER_WORKERS_ENV
+from repro.net.cluster import SYNC_MODES
 from repro.perf.clusterload import (
     CLUSTER_HORIZON_NS,
     SIGNATURE_HORIZON_NS,
-    build_ring_cluster,
     cluster_config,
     cluster_signatures,
     run_cluster_throughput,
@@ -82,12 +69,6 @@ HEADLINE_SATURATED = (8, 0.9)
 #: The acceptance bound --quick enforces on the idle-heavy headline.
 MIN_IDLE_SPEEDUP = 3.0
 
-#: Sync modes every sweep point runs, in reporting order.
-SYNCS = ("lockstep", "adaptive", "parallel")
-
-#: Default worker-pool size for sync="parallel" measurements.
-DEFAULT_CLUSTER_WORKERS = 2
-
 
 def _signature_digest(snapshot: dict) -> str:
     """One hash over everything that must match between sync modes."""
@@ -95,29 +76,24 @@ def _signature_digest(snapshot: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _cluster_case(case: Tuple[int, float, int]):
-    """One sweep point: all sync modes, timed + behavior-fingerprinted.
+def _cluster_case(case: Tuple[int, float]):
+    """One sweep point: both sync modes, timed + behavior-fingerprinted.
 
     Module-level so sweep worker processes can import it; the workload
-    is fully determined by (nodes, utilization, cluster_workers).
+    is fully determined by (nodes, utilization).
     """
-    nodes, utilization, workers = case
+    nodes, utilization = case
     reports = {
-        sync: run_cluster_throughput(
-            nodes, utilization, sync, workers=workers
-        )
-        for sync in SYNCS
+        sync: run_cluster_throughput(nodes, utilization, sync)
+        for sync in SYNC_MODES
     }
     digests = {
-        sync: _signature_digest(
-            cluster_signatures(nodes, utilization, sync, workers=workers)
-        )
-        for sync in SYNCS
+        sync: _signature_digest(cluster_signatures(nodes, utilization, sync))
+        for sync in SYNC_MODES
     }
     return {
         "nodes": nodes,
         "utilization": utilization,
-        "cluster_workers": workers,
         **reports,
         "identical": len(set(digests.values())) == 1,
         "digest": digests["adaptive"],
@@ -129,15 +105,11 @@ def sweep(cases):
     outcomes = sweep_map(_cluster_case, list(cases))
     rows = []
     for out in outcomes:
-        lock, adap, par = out["lockstep"], out["adaptive"], out["parallel"]
-
-        def _speedup(fast, slow):
-            return (
-                fast["throughput_sim_ns_per_s"]
-                / slow["throughput_sim_ns_per_s"]
-                if slow["throughput_sim_ns_per_s"] else float("inf")
-            )
-
+        lock, adap = out["lockstep"], out["adaptive"]
+        speedup = (
+            adap["throughput_sim_ns_per_s"] / lock["throughput_sim_ns_per_s"]
+            if lock["throughput_sim_ns_per_s"] else float("inf")
+        )
         total_windows = adap["sync_rounds"] + adap["windows_skipped"]
         rows.append(
             [
@@ -145,9 +117,7 @@ def sweep(cases):
                 f"{out['utilization']:g}",
                 f"{lock['throughput_sim_ns_per_s'] / 1e9:.2f}",
                 f"{adap['throughput_sim_ns_per_s'] / 1e9:.2f}",
-                f"{par['throughput_sim_ns_per_s'] / 1e9:.2f}",
-                f"{_speedup(adap, lock):.2f}x",
-                f"{_speedup(par, adap):.2f}x",
+                f"{speedup:.2f}x",
                 f"{100 * adap['windows_skipped'] / total_windows:.0f}%"
                 if total_windows else "-",
                 str(adap["deliveries_suppressed"]),
@@ -166,110 +136,20 @@ def _trajectory_entries(outcomes, label: str):
             HEADLINE_SATURATED,
         ):
             continue
-        for sync in SYNCS:
-            report = out[sync]
+        for sync in SYNC_MODES:
             config = cluster_config(
                 out["nodes"], out["utilization"], sync,
                 horizon_ns=CLUSTER_HORIZON_NS,
-                workers=report.get("workers", 0),
             )
             entries.append(
                 make_entry(
                     f"{label}/{sync}",
-                    dict(report),
+                    dict(out[sync]),
                     config,
                     signatures={"cluster": out["digest"]},
                 )
             )
     return entries
-
-
-def _parallel_smoke(workers: int, min_speedup: float) -> bool:
-    """The cluster-parallel-smoke CI job body.  Returns failed."""
-    nodes, utilization = HEADLINE_SATURATED
-    failed = False
-
-    digests = {
-        sync: _signature_digest(
-            cluster_signatures(nodes, utilization, sync, workers=workers)
-        )
-        for sync in SYNCS
-    }
-    if len(set(digests.values())) != 1:
-        bad = {s: d[:12] for s, d in digests.items()}
-        print(f"FAIL: sync modes disagree on the saturated headline: {bad}")
-        failed = True
-    else:
-        print(
-            f"signature cross-check: parallel({workers}w) == adaptive == "
-            f"lockstep on the saturated {nodes}-node config"
-        )
-
-    adaptive = run_cluster_throughput(nodes, utilization, "adaptive")
-    parallel = run_cluster_throughput(
-        nodes, utilization, "parallel", workers=workers
-    )
-    if parallel["workers"] != workers:
-        print(
-            f"FAIL: parallel run used {parallel['workers']} workers, "
-            f"expected {workers} (fork pool unavailable?)"
-        )
-        failed = True
-    speedup = (
-        parallel["throughput_sim_ns_per_s"]
-        / adaptive["throughput_sim_ns_per_s"]
-        if adaptive["throughput_sim_ns_per_s"] else float("inf")
-    )
-    cores = os.cpu_count() or 1
-    if cores >= workers + 1:
-        if speedup < min_speedup:
-            print(
-                f"FAIL: saturated parallel speedup {speedup:.2f}x "
-                f"< {min_speedup:.1f}x bound ({workers} workers, "
-                f"{cores} cores)"
-            )
-            failed = True
-        else:
-            print(
-                f"saturated parallel speedup: {speedup:.2f}x vs adaptive "
-                f"({workers} workers, {cores} cores) -- ok"
-            )
-    else:
-        print(
-            f"saturated parallel speedup: {speedup:.2f}x (informational: "
-            f"host has {cores} core(s) for {workers} workers + parent; "
-            f"bound not enforced)"
-        )
-
-    # Fallback path: REPRO_CLUSTER_WORKERS=0 must degrade sync="parallel"
-    # to serial adaptive -- no pool, same bytes.
-    saved = os.environ.get(CLUSTER_WORKERS_ENV)
-    os.environ[CLUSTER_WORKERS_ENV] = "0"
-    try:
-        cluster = build_ring_cluster(nodes, utilization, "parallel")
-        cluster.run_until(SIGNATURE_HORIZON_NS)
-        active = cluster.parallel_active
-        cluster.close()
-        fallback_digest = _signature_digest(
-            cluster_signatures(nodes, utilization, "parallel")
-        )
-    finally:
-        if saved is None:
-            del os.environ[CLUSTER_WORKERS_ENV]
-        else:
-            os.environ[CLUSTER_WORKERS_ENV] = saved
-    if active:
-        print(f"FAIL: {CLUSTER_WORKERS_ENV}=0 did not disable the pool")
-        failed = True
-    elif fallback_digest != digests["adaptive"]:
-        print(f"FAIL: {CLUSTER_WORKERS_ENV}=0 fallback changed the traces")
-        failed = True
-    else:
-        print(
-            f"fallback: {CLUSTER_WORKERS_ENV}=0 ran serial adaptive, "
-            "byte-identical"
-        )
-    return failed
 
 
 def main(argv=None) -> int:
@@ -278,20 +158,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="headline configs only; assert the >=3x idle-heavy speedup, "
              "signature identity, and the trajectory regression gate (CI)",
-    )
-    parser.add_argument(
-        "--parallel-smoke", action="store_true",
-        help="saturated headline only: three-way signature identity, the "
-             "parallel speedup bound (when cores allow), and the "
-             f"{CLUSTER_WORKERS_ENV}=0 fallback (CI)",
-    )
-    parser.add_argument(
-        "--cluster-workers", type=int, default=DEFAULT_CLUSTER_WORKERS,
-        help="worker processes per sync='parallel' cluster",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup", type=float, default=1.5,
-        help="parallel-vs-adaptive bound --parallel-smoke enforces",
     )
     parser.add_argument(
         "--label", default="bench-cluster",
@@ -313,28 +179,19 @@ def main(argv=None) -> int:
     )
     args = apply_bench_args(parser.parse_args(argv))
 
-    if args.parallel_smoke:
-        return 1 if _parallel_smoke(
-            args.cluster_workers, args.min_parallel_speedup
-        ) else 0
-
     if args.quick:
         cases = [HEADLINE_IDLE, HEADLINE_SATURATED]
     else:
         cases = [(n, u) for n in SWEEP_NODES for u in SWEEP_UTILIZATIONS]
-    cases = [(n, u, args.cluster_workers) for n, u in cases]
 
     rows, outcomes = sweep(cases)
     header = [
-        "nodes", "util",
-        "lockstep Gns/s", "adaptive Gns/s", "parallel Gns/s",
-        "adapt x", "par x",
+        "nodes", "util", "lockstep Gns/s", "adaptive Gns/s", "adapt x",
         "skipped", "suppressed", "identical",
     ]
     text = (
         "Cluster synchronization sweep: ring workload, "
-        f"{CLUSTER_HORIZON_NS / 1e9:.0f} s virtual horizon, "
-        f"{args.cluster_workers} cluster workers "
+        f"{CLUSTER_HORIZON_NS / 1e9:.0f} s virtual horizon "
         f"(signatures cross-checked at {SIGNATURE_HORIZON_NS / 1e6:.0f} ms, "
         "full recording)\n" + format_table(header, rows)
     )
@@ -352,7 +209,7 @@ def main(argv=None) -> int:
         failed = True
     if not mismatched:
         print(
-            f"signature cross-check: lockstep == adaptive == parallel on "
+            f"signature cross-check: lockstep == adaptive on "
             f"all {len(outcomes)} swept configs"
         )
 

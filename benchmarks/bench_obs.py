@@ -99,7 +99,6 @@ def _cluster_rate(instrument: bool, horizon_ns: int) -> float:
     finally:
         if gc_was_enabled:
             gc.enable()
-    cluster.close()
     return horizon_ns / wall if wall > 0 else 0.0
 
 

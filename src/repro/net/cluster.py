@@ -33,141 +33,39 @@ trace's adjacent-segment merging this makes adaptive runs
 **byte-identical** to lockstep -- same full-trace sha256 signatures,
 same delivery order, same bus statistics (property-tested).
 
-``sync="parallel"`` exploits what the conservative argument already
-proves: within one window the kernels are completely independent --
-the only cross-node interactions are bus frames, and those can only
-land in a *later* window.  The cluster therefore shards its kernels
-across persistent forked worker processes
-(:class:`~repro.perf.pool.WorkerPool`); each barrier round the parent
-broadcasts the next boundary (computed with the adaptive rule from the
-workers' reported bounds), the workers run their kernels through the
-window concurrently, and all cross-node effects come back as
-serializable per-window logs.  Falls back to serial adaptive when
-``fork`` is unavailable or ``REPRO_CLUSTER_WORKERS=0``.
-
 Effect logs and the deterministic merge
 ---------------------------------------
 
-Cross-kernel side effects never happen inline, in *any* mode.  A
-node's frame transmissions (:meth:`NetInterface.transmit`) and
-membership transitions append to a per-node **effect log**; at each
-window barrier the cluster merges all logs sorted by ``(time,
-node_index, seq)`` -- ``seq`` being the append position within one
-node's log -- and only then applies them (transmissions are queued on
-the bus in merged order, which fixes the bus's arbitration
-tie-breaking sequence numbers).  Because serial and parallel modes run
-the *same* merge at the *same* barriers over the *same* per-node logs,
-full-record traces, delivery timelines, metrics, and bus statistics
-are byte-identical across ``lockstep``/``adaptive``/``parallel`` and
-across any worker count -- by construction, not by luck.
+Cross-kernel side effects never happen inline.  A node's frame
+transmissions (:meth:`NetInterface.transmit`) and membership
+transitions append to a per-node **effect log**; at each window
+barrier the cluster merges all logs sorted by ``(time, node_index,
+seq)`` -- ``seq`` being the append position within one node's log --
+and only then applies them (transmissions are queued on the bus in
+merged order, which fixes the bus's arbitration tie-breaking sequence
+numbers).  The merge order depends only on what the nodes did, never
+on the order the window loop happened to run them in, so full-record
+traces, delivery timelines, metrics, and bus statistics are
+byte-identical between ``lockstep`` and ``adaptive`` -- by
+construction, not by luck.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.kernel.kernel import Kernel
 from repro.net.fieldbus import Fieldbus
 from repro.net.node import DEFAULT_RX_CAPACITY, NetInterface
-from repro.perf.pool import WorkerError, WorkerPool, pool_available
 
-__all__ = [
-    "Cluster",
-    "SYNC_MODES",
-    "CLUSTER_WORKERS_ENV",
-    "resolve_cluster_workers",
-]
+__all__ = ["Cluster", "SYNC_MODES"]
 
 #: Valid cluster synchronization modes.
-SYNC_MODES = ("lockstep", "adaptive", "parallel")
-
-#: Environment knob for ``sync="parallel"``: worker process count.
-#: ``0`` disables the pool entirely (graceful serial fallback).
-CLUSTER_WORKERS_ENV = "REPRO_CLUSTER_WORKERS"
-
-#: Default worker count when neither the constructor nor the
-#: environment asks for a specific one.
-DEFAULT_PARALLEL_WORKERS = 4
+SYNC_MODES = ("lockstep", "adaptive")
 
 _EFFECT_ORDER = itemgetter(0, 1, 2)
-
-
-def resolve_cluster_workers(requested: Optional[int] = None) -> int:
-    """Concrete worker count for a parallel cluster.
-
-    ``None`` falls back to ``REPRO_CLUSTER_WORKERS``, then to
-    :data:`DEFAULT_PARALLEL_WORKERS`.  ``0`` means "no pool": the
-    cluster runs the serial adaptive loop instead.
-    """
-    if requested is None:
-        raw = os.environ.get(CLUSTER_WORKERS_ENV, "")
-        requested = int(raw) if raw else DEFAULT_PARALLEL_WORKERS
-    if requested < 0:
-        raise ValueError(f"workers must be non-negative (got {requested})")
-    return requested
-
-
-# ----------------------------------------------------------------------
-# Module-level query functions (picklable by reference, so the parallel
-# mode can evaluate them inside the worker that owns the node's state;
-# the serial modes call them directly).
-# ----------------------------------------------------------------------
-def _query_trace_signature(cluster: "Cluster", node: str,
-                           include_segments: bool) -> str:
-    return cluster.nodes[node].trace.signature(
-        include_segments=include_segments
-    )
-
-
-def _query_interface_stats(cluster: "Cluster", node: str) -> Dict[str, int]:
-    iface = cluster.interfaces[node]
-    return {
-        "frames_sent": iface.frames_sent,
-        "frames_received": iface.frames_received,
-        "frames_filtered": iface.frames_filtered,
-        "frames_crc_dropped": iface.frames_crc_dropped,
-        "rx_overflowed": iface.rx_overflowed,
-    }
-
-
-def _query_rx_timeline(cluster: "Cluster", node: str) -> list:
-    return list(getattr(cluster.interfaces[node], "rx_timeline", ()))
-
-
-def _query_events_popped(cluster: "Cluster", node: str) -> int:
-    return cluster.nodes[node].events_popped
-
-
-def _query_deadline_violations(cluster: "Cluster", node: str) -> int:
-    kernel = cluster.nodes[node]
-    return len(kernel.trace.deadline_violations(kernel.now))
-
-
-def _query_trace(cluster: "Cluster", node: str):
-    # The Trace is plain data (segments/jobs/events), so shipping it
-    # across the worker pipe is a straight pickle.
-    return cluster.nodes[node].trace
-
-
-def _query_collector(cluster: "Cluster", node: str):
-    # ObsCollector.__getstate__ drops the kernel reference, so the
-    # parent receives the observed records, not live kernel state.
-    return cluster.nodes[node].obs
-
-
-def _query_rx_log(cluster: "Cluster", node: str):
-    log = cluster.interfaces[node].rx_log
-    return list(log) if log is not None else None
-
-
-def _query_node_registry(cluster: "Cluster", node: str):
-    # Built where the kernel lives, so trace-derived completion stats
-    # are present whether the node runs in the parent or in a worker.
-    obs = cluster.nodes[node].obs
-    return obs.as_registry() if obs is not None else None
 
 
 class Cluster:
@@ -176,54 +74,29 @@ class Cluster:
     Args:
         bus: The shared fieldbus (a fresh 1 Mbit/s one by default).
         sync: ``"adaptive"`` (default) skips provably silent quantum
-            windows; ``"parallel"`` additionally runs the kernels in
-            forked worker processes; ``"lockstep"`` steps every window
-            -- the escape hatch for differential testing.  All three
-            produce byte-identical traces.
-        workers: Worker processes for ``sync="parallel"`` (``None``
-            defers to ``REPRO_CLUSTER_WORKERS`` / the default; ``0``
-            forces the serial fallback).  Ignored by serial modes.
+            windows; ``"lockstep"`` steps every window -- the reference
+            the differential tests compare against.  Both produce
+            byte-identical traces.
     """
 
-    def __init__(
-        self,
-        bus: Optional[Fieldbus] = None,
-        sync: str = "adaptive",
-        workers: Optional[int] = None,
-    ):
+    def __init__(self, bus: Optional[Fieldbus] = None, sync: str = "adaptive"):
         if sync not in SYNC_MODES:
             raise ValueError(
                 f"unknown sync mode {sync!r} (expected one of {SYNC_MODES})"
             )
         self.bus = bus if bus is not None else Fieldbus()
         self.sync = sync
-        self.workers = workers
         self.nodes: Dict[str, Kernel] = {}
         self.interfaces: Dict[str, NetInterface] = {}
         self._now = 0
-        self._names: List[str] = []
-        self._index: Dict[str, int] = {}
         self._ifaces: List[NetInterface] = []
         #: Per-node effect logs (cross-kernel side effects staged for
         #: the barrier merge); aliased by each node's interface.
         self._effect_logs: List[list] = []
-        #: Objects addressable across the fork by integer handle
-        #: (membership monitors, global-state channels, ...).
-        self._shared: List[Any] = []
-        # parallel-mode state
-        self._pool: Optional[WorkerPool] = None
-        self._pool_failed = False
-        self._closed = False
-        self.parallel_active = False
-        self._shards: List[List[int]] = []
-        self._owner: List[int] = []
-        #: Deliveries routed at the last barrier of a previous
-        #: ``run_until`` but not yet shipped to their owning workers.
-        self._pending_deliveries: List[list] = []
         # statistics
         #: Quantum windows actually processed (kernels stepped + bus
         #: arbitrated).  Lockstep processes ceil(horizon / quantum) of
-        #: them; adaptive/parallel only the ones containing activity.
+        #: them; adaptive only the ones containing activity.
         self.sync_rounds = 0
         #: Silent windows the adaptive rule jumped over.
         self.windows_skipped = 0
@@ -246,11 +119,6 @@ class Cluster:
         :meth:`run_until` calls)."""
         return self._now
 
-    @property
-    def worker_count(self) -> int:
-        """Active parallel workers (0 while serial)."""
-        return self._pool.count if self._pool is not None else 0
-
     def add_node(
         self,
         name: str,
@@ -260,11 +128,6 @@ class Cluster:
         rx_capacity: Optional[int] = DEFAULT_RX_CAPACITY,
     ) -> NetInterface:
         """Attach a kernel to the bus; returns its network interface."""
-        if self._pool is not None:
-            raise RuntimeError(
-                "cannot add nodes after parallel workers have started "
-                "(the shards are forked)"
-            )
         if name in self.nodes:
             raise ValueError(f"node {name} already exists")
         if kernel.now != self._now:
@@ -279,41 +142,18 @@ class Cluster:
         interface._effect_log = log
         self.nodes[name] = kernel
         self.interfaces[name] = interface
-        self._names.append(name)
-        self._index[name] = len(self._names) - 1
         self._ifaces.append(interface)
         self._effect_logs.append(log)
         return interface
 
     def enable_dependability(self, max_retransmits: int = 8) -> "Cluster":
         """Arm the bus's error confinement + retransmission layer."""
-        if self._pool is not None:
-            raise RuntimeError(
-                "cannot arm dependability after parallel workers have "
-                "started (the workers forked a disarmed bus)"
-            )
         self.bus.enable_dependability(max_retransmits)
         return self
 
     # ------------------------------------------------------------------
-    # effect logs: the single cross-kernel channel of every sync mode
+    # effect logs: the single cross-kernel channel
     # ------------------------------------------------------------------
-    def register_shared(self, obj: Any) -> int:
-        """Register a cross-node object (pre-fork) and get its handle.
-
-        Handles resolve to the same logical object on both sides of the
-        fork (``cluster._shared[handle]``), which is what lets barrier
-        effects and worker queries address monitors and channels
-        without pickling them.
-        """
-        if self._pool is not None:
-            raise RuntimeError(
-                "cannot register shared objects after parallel workers "
-                "have started"
-            )
-        self._shared.append(obj)
-        return len(self._shared) - 1
-
     def log_effect(self, node: str, record: tuple) -> None:
         """Stage a cross-kernel effect on ``node``'s log.
 
@@ -321,60 +161,39 @@ class Cluster:
         the barrier merge orders records by ``(time, node_index,
         append_seq)`` before applying them.
         """
-        self._effect_logs[self._index[node]].append(record)
+        self.interfaces[node]._effect_log.append(record)
 
-    def _apply_effects(self, pairs: Iterable[Tuple[int, list]]) -> None:
-        """Merge per-node effect logs and apply them in global order.
+    def _flush_effects(self) -> None:
+        """Window barrier: merge the per-node effect logs and apply them.
 
-        ``pairs`` is ``(node_index, records)``; the merge key is
-        ``(time, node_index, seq)``.  Applying transmissions in merged
-        order assigns the bus's arbitration tie-breaking sequence
-        numbers deterministically -- independent of which process (or
-        serial loop) produced the log.
+        The merge key is ``(time, node_index, seq)``.  Applying
+        transmissions in merged order assigns the bus's arbitration
+        tie-breaking sequence numbers deterministically -- independent
+        of the order in which the window loop ran the nodes.
         """
         merged = []
-        for index, records in pairs:
-            merged.extend(
-                (record[1], index, seq, record)
-                for seq, record in enumerate(records)
-            )
+        for index, log in enumerate(self._effect_logs):
+            if log:
+                merged.extend(
+                    (record[1], index, seq, record)
+                    for seq, record in enumerate(log)
+                )
+                log.clear()
         if not merged:
             return
         merged.sort(key=_EFFECT_ORDER)
         bus = self.bus
-        names = self._names
-        shared = self._shared
-        for time, index, _seq, record in merged:
+        for time, _index, _seq, record in merged:
             kind = record[0]
             if kind == "tx":
                 bus.queue(time, record[2])
-            elif kind == "rx":
-                # Receive-side error-state event replayed from a worker
-                # (serial modes apply these inline in ``deliver``; the
-                # per-machine order is identical either way because one
-                # node's log is time-ordered and machines of different
-                # nodes are independent).
-                state = bus.error_state(names[index])
-                if record[2]:
-                    state.on_rx_success(time)
-                else:
-                    state.on_rx_error(time)
             elif kind == "ms":
-                shared[record[2]]._apply_transition(
+                # (kind, time, monitor, observer, peer, up)
+                record[2]._apply_transition(
                     time, record[3], record[4], record[5]
                 )
             else:
                 raise ValueError(f"unknown effect record kind {kind!r}")
-
-    def _flush_effects(self) -> None:
-        """Serial-mode barrier: merge + apply the parent-side logs."""
-        pairs = []
-        for index, log in enumerate(self._effect_logs):
-            if log:
-                pairs.append((index, log[:]))
-                log.clear()
-        if pairs:
-            self._apply_effects(pairs)
 
     # ------------------------------------------------------------------
     # the window loops
@@ -386,11 +205,8 @@ class Cluster:
         if t_end == self._now:
             # Re-running to the same instant is a no-op: every node and
             # the bus are already there (re-entering the window loop
-            # would cost a barrier round -- or a worker spawn -- for
-            # nothing).
+            # would cost a barrier round for nothing).
             return
-        if self._closed:
-            raise RuntimeError("cluster is closed")
         if not self.nodes:
             self._now = t_end
             return
@@ -406,14 +222,9 @@ class Cluster:
             )
         # Effects staged *outside* the window loops (e.g. a test
         # calling ``interface.transmit`` directly between runs) must
-        # reach the bus before the first round's bound computation --
-        # and, on the first parallel call, before the fork (so workers
-        # inherit empty logs and the staged frames live on the parent's
-        # authoritative bus).
+        # reach the bus before the first round's bound computation.
         self._flush_effects()
-        if self.sync == "parallel":
-            self._run_parallel(t_end, quantum)
-        elif self.sync == "adaptive":
+        if self.sync == "adaptive":
             self._run_adaptive(t_end, quantum)
         else:
             self._run_lockstep(t_end, quantum)
@@ -528,281 +339,7 @@ class Cluster:
             self.windows_skipped += skipped
 
     # ------------------------------------------------------------------
-    # the parallel loop
-    # ------------------------------------------------------------------
-    def start_workers(self) -> bool:
-        """Fork the worker pool (idempotent; called lazily by
-        :meth:`run_until`, or eagerly by benchmarks to keep the spawn
-        out of timed sections).  Returns whether parallel execution is
-        armed; ``False`` means the serial adaptive fallback will run.
-        """
-        if self.sync != "parallel" or self._closed:
-            return False
-        if self._pool is not None:
-            return True
-        if self._pool_failed:
-            return False
-        count = min(resolve_cluster_workers(self.workers), len(self._names))
-        if count <= 0 or not pool_available():
-            self._pool_failed = True
-            return False
-        # Node i lives permanently in worker i % count: deterministic,
-        # and balanced for the homogeneous-node clusters we model.
-        self._shards = [[] for _ in range(count)]
-        self._owner = []
-        for i in range(len(self._names)):
-            self._shards[i % count].append(i)
-            self._owner.append(i % count)
-        self._pending_deliveries = [[] for _ in range(count)]
-        try:
-            self._pool = WorkerPool(count, self._worker_factory, name="cluster")
-        except WorkerError:
-            self._pool_failed = True
-            return False
-        self.parallel_active = True
-        return True
-
-    def _worker_factory(self, index: int) -> Callable:
-        """Build the request handler *inside* worker ``index``.
-
-        The fork hands the worker a coherent copy of the whole cluster;
-        the handler operates on the shard it owns and stages every
-        cross-kernel effect on the (forked) per-node logs, which it
-        ships back -- with its updated conservative bounds -- at each
-        barrier.
-        """
-        my = self._shards[index]
-        names = self._names
-        kernels = [self.nodes[name] for name in names]
-        interfaces = self._ifaces
-        logs = self._effect_logs
-        for i in my:
-            # Receive-side error-state updates are *logged*, not
-            # applied: the parent owns the authoritative machines
-            # (``deliver`` never branches on their values, so the
-            # worker-local copies being stale is unobservable).
-            interfaces[i]._log_rx_state = True
-
-        def bounds():
-            out = []
-            for i in my:
-                kernel = kernels[i]
-                if kernel.running is not None or kernel._need_resched:
-                    t = kernel.clock.now
-                else:
-                    heap = kernel.events._heap
-                    t = heap[0][0] if heap else None
-                out.append((i, t, kernel.clock.now))
-            return out
-
-        def handler(msg):
-            kind = msg[0]
-            if kind == "window":
-                _, boundary, final, deliveries, bumps = msg
-                for i, count in bumps:
-                    interfaces[i].frames_filtered += count
-                for time, frame, targets in deliveries:
-                    label = f"net-delivery:{frame.can_id:#x}"
-                    for i in targets:
-                        kernel = kernels[i]
-                        kernel_now = kernel.clock.now
-                        kernel.events.schedule(
-                            time if time > kernel_now else kernel_now,
-                            partial(interfaces[i].deliver, frame),
-                            label,
-                        )
-                if final:
-                    for i in my:
-                        kernel = kernels[i]
-                        if kernel.clock.now < boundary:
-                            kernel.run_until(boundary)
-                else:
-                    # Same per-node laziness as the serial adaptive
-                    # loop: recomputing the bound *after* scheduling
-                    # this round's deliveries equals the parent's
-                    # adjusted bound, so the skip decisions match.
-                    for i in my:
-                        kernel = kernels[i]
-                        if kernel.running is not None or kernel._need_resched:
-                            t = kernel.clock.now
-                        else:
-                            heap = kernel.events._heap
-                            t = heap[0][0] if heap else None
-                        if (
-                            t is not None
-                            and t <= boundary
-                            and kernel.clock.now < boundary
-                        ):
-                            kernel.run_until(boundary)
-                effects = []
-                for i in my:
-                    log = logs[i]
-                    if log:
-                        effects.append((i, log[:]))
-                        log.clear()
-                return (effects, bounds())
-            if kind == "sync":
-                return bounds()
-            if kind == "query":
-                _, fn, items = msg
-                return [(i, fn(self, names[i], *args)) for i, args in items]
-            raise ValueError(f"unknown cluster worker request {kind!r}")
-
-        return handler
-
-    def _run_parallel(self, t_end: int, quantum: int) -> None:
-        """The barrier loop: same boundaries as adaptive, windows run
-        concurrently in the worker shards.
-
-        Per round the parent (1) picks the next boundary from the
-        workers' conservative bounds and the bus, (2) ships each worker
-        its pending deliveries + deferred filter bumps + the boundary,
-        (3) collects effect logs and fresh bounds, (4) merges and
-        applies the effects, arbitrates the bus, and routes the new
-        deliveries.  Deliveries produced at barrier k land strictly
-        after boundary k (a frame needs >= one quantum of wire time),
-        so shipping them with window k+1's message is exact, not
-        approximate.
-        """
-        if not self.start_workers():
-            self._run_adaptive(t_end, quantum)
-            return
-        pool = self._pool
-        count = pool.count
-        names = self._names
-        n = len(names)
-        bounds: List[Optional[int]] = [None] * n
-        clocks = [0] * n
-        for reply in pool.broadcast(("sync",)):
-            for i, t, clock_now in reply:
-                bounds[i] = t
-                clocks[i] = clock_now
-        pending = self._pending_deliveries
-        # Deliveries routed at the tail of a previous call have not
-        # been shipped yet; the workers' reported bounds cannot know
-        # about them, so fold them back in.
-        for worker_pending in pending:
-            for time, frame, targets in worker_pending:
-                for i in targets:
-                    eff = time if time > clocks[i] else clocks[i]
-                    if bounds[i] is None or eff < bounds[i]:
-                        bounds[i] = eff
-        bus = self.bus
-        process = bus.process
-        bus_next = bus.next_event_time
-        rounds = 0
-        skipped = 0
-        now = self._now
-        try:
-            while now < t_end:
-                boundary = now + quantum
-                earliest = None
-                for i in range(n):
-                    t = bounds[i]
-                    if t is not None and (earliest is None or t < earliest):
-                        earliest = t
-                t = bus_next()
-                if t is not None and (earliest is None or t < earliest):
-                    earliest = t
-                if earliest is None:
-                    boundary = t_end
-                elif earliest > boundary:
-                    boundary = now + quantum * (
-                        (earliest - now + quantum - 1) // quantum
-                    )
-                final = boundary >= t_end
-                if final:
-                    boundary = t_end
-                bumps = self._due_filter_bumps(boundary, count)
-                for w in range(count):
-                    pool.send(
-                        w, ("window", boundary, final, pending[w], bumps[w])
-                    )
-                self._pending_deliveries = pending = [[] for _ in range(count)]
-                pairs = []
-                for w in range(count):
-                    effects, reported = pool.recv(w)
-                    pairs.extend(effects)
-                    for i, t, clock_now in reported:
-                        bounds[i] = t
-                        clocks[i] = clock_now
-                rounds += 1
-                skipped += (boundary - now - 1) // quantum
-                self._apply_effects(pairs)
-                deliveries = process(boundary)
-                if deliveries:
-                    self._route_deliveries(deliveries, pending, bounds, clocks)
-                self._now = now = boundary
-        finally:
-            self.sync_rounds += rounds
-            self.windows_skipped += skipped
-
-    def _due_filter_bumps(self, boundary: int, count: int) -> List[list]:
-        """Deferred ``frames_filtered`` bumps due by ``boundary``,
-        grouped per owning worker (the counters live in the shards)."""
-        bumps: List[list] = [[] for _ in range(count)]
-        if self._deferred_filter_stats:
-            keep = []
-            due: Dict[int, int] = {}
-            for time, indices in self._deferred_filter_stats:
-                if time <= boundary:
-                    for i in indices:
-                        due[i] = due.get(i, 0) + 1
-                else:
-                    keep.append((time, indices))
-            self._deferred_filter_stats = keep
-            for i in sorted(due):
-                bumps[self._owner[i]].append((i, due[i]))
-        return bumps
-
-    def _route_deliveries(self, deliveries, pending, bounds, clocks) -> None:
-        """Parallel-mode delivery routing: the prefilter logic of
-        :meth:`_dispatch_deliveries`, but producing per-worker shipping
-        lists (and bound adjustments) instead of scheduling directly."""
-        suppressed = 0
-        error_states = self.bus.error_states
-        ifaces = self._ifaces
-        owner = self._owner
-        names = self._names
-        n = len(names)
-        count = len(pending)
-        for delivery in deliveries:
-            frame = delivery.frame
-            time = delivery.time
-            sender = frame.sender
-            can_id = frame.can_id
-            route = error_states is None and not frame.corrupted
-            targets: List[Optional[list]] = [None] * count
-            filtered = None
-            for i in range(n):
-                if names[i] == sender:
-                    continue
-                if route:
-                    accept = ifaces[i].accept
-                    if accept is not None and can_id not in accept:
-                        if filtered is None:
-                            filtered = [i]
-                        else:
-                            filtered.append(i)
-                        suppressed += 1
-                        continue
-                w = owner[i]
-                if targets[w] is None:
-                    targets[w] = [i]
-                else:
-                    targets[w].append(i)
-                eff = time if time > clocks[i] else clocks[i]
-                if bounds[i] is None or eff < bounds[i]:
-                    bounds[i] = eff
-            for w in range(count):
-                if targets[w] is not None:
-                    pending[w].append((time, frame, tuple(targets[w])))
-            if filtered is not None:
-                self._deferred_filter_stats.append((time, tuple(filtered)))
-        self.deliveries_suppressed += suppressed
-
-    # ------------------------------------------------------------------
-    # serial delivery dispatch
+    # delivery dispatch
     # ------------------------------------------------------------------
     def _dispatch_deliveries(self, deliveries, prefilter: bool) -> None:
         """Schedule completed bus deliveries into the receiving kernels.
@@ -875,104 +412,75 @@ class Cluster:
         self._deferred_filter_stats = keep
 
     # ------------------------------------------------------------------
-    # queries (location-transparent: parent state while serial, the
-    # owning worker's state while parallel)
+    # per-node queries
     # ------------------------------------------------------------------
-    def node_query(self, node: str, fn: Callable, *args) -> Any:
-        """Evaluate ``fn(cluster, node, *args)`` where ``node``'s state
-        lives.  ``fn`` must be module-level (picklable by reference)
-        for the parallel mode."""
-        if node not in self.nodes:
-            raise ValueError(f"unknown node {node}")
-        if self._closed:
-            raise RuntimeError("cluster is closed")
-        if not self.parallel_active:
-            return fn(self, node, *args)
-        i = self._index[node]
-        w = self._owner[i]
-        self._pool.send(w, ("query", fn, [(i, args)]))
-        return self._pool.recv(w)[0][1]
-
-    def map_nodes(self, fn: Callable, *args) -> Dict[str, Any]:
-        """:meth:`node_query` over every node (one message per worker);
-        results keyed by node name in node order."""
-        if self._closed:
-            raise RuntimeError("cluster is closed")
-        if not self.parallel_active:
-            return {name: fn(self, name, *args) for name in self._names}
-        messages = [
-            ("query", fn, [(i, args) for i in self._shards[w]])
-            for w in range(self._pool.count)
-        ]
-        results: Dict[int, Any] = {}
-        for reply in self._pool.roundtrip(messages):
-            for i, value in reply:
-                results[i] = value
-        return {self._names[i]: results[i] for i in range(len(self._names))}
-
     def trace_signatures(self, include_segments: bool = True) -> Dict[str, str]:
         """Per-node full-trace signatures (sha256)."""
-        return self.map_nodes(_query_trace_signature, include_segments)
+        return {
+            name: kernel.trace.signature(include_segments=include_segments)
+            for name, kernel in self.nodes.items()
+        }
 
     def interface_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-node interface counters."""
-        return self.map_nodes(_query_interface_stats)
+        return {
+            name: {
+                "frames_sent": iface.frames_sent,
+                "frames_received": iface.frames_received,
+                "frames_filtered": iface.frames_filtered,
+                "frames_crc_dropped": iface.frames_crc_dropped,
+                "rx_overflowed": iface.rx_overflowed,
+            }
+            for name, iface in self.interfaces.items()
+        }
 
     def rx_timelines(self) -> Dict[str, list]:
         """Per-node ``rx_timeline`` lists (for workloads that attach
         received-frame timelines to their interfaces)."""
-        return self.map_nodes(_query_rx_timeline)
+        return {
+            name: list(getattr(iface, "rx_timeline", ()))
+            for name, iface in self.interfaces.items()
+        }
 
     def node_traces(self) -> Dict[str, Any]:
-        """Per-node :class:`~repro.sim.trace.Trace` snapshots (copies
-        when the node lives in a worker, the live object while serial)."""
-        return self.map_nodes(_query_trace)
+        """Per-node :class:`~repro.sim.trace.Trace` objects."""
+        return {name: kernel.trace for name, kernel in self.nodes.items()}
 
     def node_collectors(self) -> Dict[str, Any]:
         """Per-node attached :class:`~repro.obs.collector.ObsCollector`
-        snapshots (``None`` for nodes without one).  Snapshots shipped
-        from workers have no kernel attached -- use
-        :meth:`node_registries` for metrics, which are built in place."""
-        return self.map_nodes(_query_collector)
+        (``None`` for nodes without one)."""
+        return {name: kernel.obs for name, kernel in self.nodes.items()}
 
     def rx_logs(self) -> Dict[str, Optional[list]]:
         """Per-node accepted-delivery logs (``NetInterface.rx_log``;
         ``None`` for interfaces that never enabled it)."""
-        return self.map_nodes(_query_rx_log)
+        return {
+            name: list(iface.rx_log) if iface.rx_log is not None else None
+            for name, iface in self.interfaces.items()
+        }
 
     def node_registries(self) -> Dict[str, Any]:
-        """Per-node metrics registries, built where each kernel lives
-        (``None`` for nodes without a collector)."""
-        return self.map_nodes(_query_node_registry)
+        """Per-node metrics registries (``None`` for nodes without a
+        collector)."""
+        return {
+            name: kernel.obs.as_registry() if kernel.obs is not None else None
+            for name, kernel in self.nodes.items()
+        }
 
     def total_events_popped(self) -> int:
         """Kernel events popped across every node."""
-        return sum(self.map_nodes(_query_events_popped).values())
+        return sum(kernel.events_popped for kernel in self.nodes.values())
 
     def total_deadline_violations(self) -> int:
         """Deadline violations across every node."""
-        return sum(self.map_nodes(_query_deadline_violations).values())
-
-    def worker_stats(self) -> Optional[List[dict]]:
-        """Per-worker busy counters (``None`` while serial).  Collect
-        *before* :meth:`close`."""
-        if self._pool is None:
-            return None
-        return self._pool.stats()
+        return sum(
+            len(kernel.trace.deadline_violations(kernel.now))
+            for kernel in self.nodes.values()
+        )
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
-
-        A parallel cluster's node state lives in the workers, so after
-        ``close`` the cluster can no longer run or answer node queries;
-        serial clusters (including ones that never spawned a pool) are
-        unaffected.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self.parallel_active = False
-            self._closed = True
+        """Release the cluster.  A no-op: a cluster holds no processes,
+        pipes or files, only in-process state."""
 
     def run_for(self, duration: int) -> None:
         """Advance by ``duration`` ns of global time."""

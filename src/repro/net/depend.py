@@ -77,10 +77,6 @@ def populate_net_registry(
             registry.counter("can_state_transitions_total", node=node).inc(
                 len(state.transitions)
             )
-    # Interface counters and channel state live on their nodes -- in a
-    # worker shard under sync="parallel" -- so go through the cluster's
-    # location-transparent accessors (plain attribute reads in serial
-    # modes).
     interface_stats = cluster.interface_stats()
     for name in sorted(interface_stats):
         stats = interface_stats[name]

@@ -233,8 +233,7 @@ class Fieldbus:
         sequence number) unless the sender already assigned one.  The
         cluster merges transmissions into the bus in deterministic
         ``(time, node_index, seq)`` order in every sync mode, so flow
-        ids are identical across lockstep/adaptive/parallel and any
-        worker count.
+        ids are identical under lockstep and adaptive.
         """
         self._sequence += 1
         if frame.flow is None:

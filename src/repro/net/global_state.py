@@ -57,27 +57,6 @@ if TYPE_CHECKING:
 __all__ = ["GlobalStateChannel", "ReplicaStatus", "STALE_POLICIES"]
 
 
-# ----------------------------------------------------------------------
-# Module-level query functions (picklable by reference) evaluated where
-# a node's state lives -- directly in serial modes, inside the owning
-# worker under ``sync="parallel"`` (see ``Cluster.node_query``).
-# ----------------------------------------------------------------------
-def _query_replica_status(cluster, node, handle):
-    return cluster._shared[handle].status_by_node.get(node)
-
-
-def _query_replica_read(cluster, node, handle):
-    return cluster._shared[handle].replicas[node].read()
-
-
-def _query_writer_stats(cluster, node, handle):
-    channel = cluster._shared[handle]
-    return {
-        "published": channel.published,
-        "resync_broadcasts": channel.resync_broadcasts,
-        "seq": channel._seq,
-    }
-
 #: How a replica degrades when its age exceeds ``freshness_ns``.
 STALE_POLICIES = ("hold", "invalidate")
 
@@ -179,11 +158,6 @@ class GlobalStateChannel:
         self._last_value = None
         self.published = 0
         self.resync_broadcasts = 0
-        # Writer counters and replica statuses live on their nodes
-        # (i.e. in a worker shard under sync="parallel"); the handle
-        # lets the query helpers reach this channel on either side of
-        # the fork.
-        self._handle = cluster.register_shared(self)
         period = driver_period if driver_period is not None else ms(10)
 
         for node_name, kernel in cluster.nodes.items():
@@ -291,42 +265,25 @@ class GlobalStateChannel:
         return self.replicas[node].name
 
     def status(self, node: str) -> ReplicaStatus:
-        """Replica health of reader ``node`` (sequenced mode only).
-
-        Location-transparent: under ``sync="parallel"`` the status is
-        fetched from the worker that owns ``node`` (a value copy); in
-        serial modes this is the live object, as before.
-        """
-        status = self.cluster.node_query(
-            node, _query_replica_status, self._handle
-        )
-        if status is None:
-            raise KeyError(node)
-        return status
+        """Replica health of reader ``node`` (sequenced mode only)."""
+        return self.status_by_node[node]
 
     def statuses(self) -> Dict[str, ReplicaStatus]:
         """All replica statuses, keyed by reader node (node order)."""
-        return {
-            node: status
-            for node, status in self.cluster.map_nodes(
-                _query_replica_status, self._handle
-            ).items()
-            if status is not None
-        }
+        return dict(self.status_by_node)
 
     def read_replica(self, node: str):
-        """Read ``node``'s replica where it lives (driver-visible
-        value; works across the fork under ``sync="parallel"``)."""
-        return self.cluster.node_query(
-            node, _query_replica_read, self._handle
-        )
+        """Read ``node``'s replica (the value its reader threads see)."""
+        return self.replicas[node].read()
 
     def writer_stats(self) -> Dict[str, int]:
         """Writer-side counters (``published``, ``resync_broadcasts``,
-        ``seq``), fetched from the writer node's owner."""
-        return self.cluster.node_query(
-            self.writer_node, _query_writer_stats, self._handle
-        )
+        ``seq``)."""
+        return {
+            "published": self.published,
+            "resync_broadcasts": self.resync_broadcasts,
+            "seq": self._seq,
+        }
 
     # ------------------------------------------------------------------
     # plumbing

@@ -96,11 +96,6 @@ class HeartbeatMonitor:
         self.events: List[MembershipEvent] = []
         self.changes = 0
         self._callbacks: Dict[str, List[Callable[[int, str, bool], None]]] = {}
-        # The global transition record is cross-kernel state: route it
-        # through the cluster's effect-log barrier so ``events`` comes
-        # out in deterministic global order in every sync mode (and so
-        # the parent's copy stays authoritative under sync="parallel").
-        self._handle = cluster.register_shared(self)
 
         for node_name, kernel in cluster.nodes.items():
             interface = cluster.interfaces[node_name]
@@ -188,15 +183,16 @@ class HeartbeatMonitor:
         self, kern: "Kernel", observer: str, peer: str, up: bool
     ) -> None:
         # Node-local consequences happen immediately (the observer's
-        # view, its trace, its callbacks -- all same-node state, valid
-        # inside a worker shard); the *global* transition record is
+        # view, its trace, its callbacks -- all same-node state); the
+        # *global* transition record is cross-kernel state, so it is
         # staged on the effect log and lands via ``_apply_transition``
         # at the window barrier, merged across nodes by (time, node,
-        # seq).
+        # seq) -- ``events`` thus comes out in the same global order in
+        # every sync mode.
         self._alive[observer][peer] = up
         status = "up" if up else "down"
         self.cluster.log_effect(
-            observer, ("ms", kern.now, self._handle, observer, peer, up)
+            observer, ("ms", kern.now, self, observer, peer, up)
         )
         kern.trace.note(
             kern.now, f"membership-{status}", f"{observer} sees {peer} {status}"
@@ -207,12 +203,8 @@ class HeartbeatMonitor:
     def _apply_transition(
         self, time: int, observer: str, peer: str, up: bool
     ) -> None:
-        """Barrier-side effect application (parent process).
-
-        Re-setting ``_alive`` is idempotent in the serial modes (the
-        observer already flipped its own entry) and refreshes the
-        parent's copy when the flip happened inside a worker.
-        """
-        self._alive[observer][peer] = up
+        """Barrier-side effect application: record the transition in
+        the global, merge-ordered ``events`` list (the observer's own
+        view already flipped in :meth:`_transition`)."""
         self.events.append((time, observer, peer, "up" if up else "down"))
         self.changes += 1

@@ -79,20 +79,15 @@ class NetInterface:
         # instead of touching the bus inline.  ``None`` for standalone
         # interfaces driven directly against a bus.
         self._effect_log = None
-        # Set inside parallel workers for the interfaces they own:
-        # receive-side error-state updates are then logged for the
-        # parent (which holds the authoritative state machines) rather
-        # than applied to the forked local copy.
-        self._log_rx_state = False
         #: Opt-in receive log (``None`` = disabled): one
         #: ``(time, flow, can_id, sender)`` tuple per *accepted*
         #: delivery, i.e. frames that passed CRC, acceptance filter and
         #: capacity checks and raised the rx interrupt.  Only accepted
-        #: deliveries are recorded because the cluster's adaptive/
-        #: parallel modes legitimately suppress filtered deliveries
-        #: before they reach the node -- accepted ones are identical in
-        #: every sync mode.  The cluster trace exporter uses it to end
-        #: the bus flow arrows on the receiving node's timeline.
+        #: deliveries are recorded because the cluster's adaptive mode
+        #: legitimately suppresses filtered deliveries before they
+        #: reach the node -- accepted ones are identical in every sync
+        #: mode.  The cluster trace exporter uses it to end the bus
+        #: flow arrows on the receiving node's timeline.
         self.rx_log: Optional[list] = None
         # statistics
         self.frames_sent = 0
@@ -116,8 +111,8 @@ class NetInterface:
         if self._effect_log is not None:
             # Cluster-attached: stage for the barrier merge (the bus's
             # arbitration sequence numbers are assigned there, in
-            # global (time, node, seq) order -- identical for serial
-            # and parallel execution).
+            # global (time, node, seq) order -- identical in every sync
+            # mode).
             self._effect_log.append(("tx", self.kernel.now, stamped))
         else:
             self.bus.queue(self.kernel.now, stamped)
@@ -144,19 +139,13 @@ class NetInterface:
             # even when its identifier would have been filtered.
             self.frames_crc_dropped += 1
             if error_state is not None:
-                if self._log_rx_state:
-                    self._effect_log.append(("rx", self.kernel.now, False))
-                else:
-                    error_state.on_rx_error(self.kernel.now)
+                error_state.on_rx_error(self.kernel.now)
             self.kernel.trace.note(
                 self.kernel.now, "frame-crc-dropped", f"{self.name} id={frame.can_id:#x}"
             )
             return
         if error_state is not None:
-            if self._log_rx_state:
-                self._effect_log.append(("rx", self.kernel.now, True))
-            else:
-                error_state.on_rx_success(self.kernel.now)
+            error_state.on_rx_success(self.kernel.now)
         if self.accept is not None and frame.can_id not in self.accept:
             self.frames_filtered += 1
             return

@@ -279,7 +279,7 @@ def bus_chain_latency(
     delivered count) and nearest-rank ``p50/p95/p99/max`` stats (ns)
     per stage (``None`` for stages with no samples).  Inputs are
     virtual-time integers, so the report is deterministic and
-    identical across cluster sync modes and worker counts.
+    identical across cluster sync modes.
     """
     tx_by_flow: Dict[int, tuple] = {}
     send_deliver: Dict[int, List[int]] = {}

@@ -1,9 +1,8 @@
 """Cluster-wide distributed tracing: one merged Perfetto timeline.
 
 Single-node runs export through :mod:`repro.obs.tracer`; a cluster run
-(PRs 7-8) spans 5-10 kernels, a shared bus, and -- under
-``sync="parallel"`` -- several worker processes.  This module merges
-all of it into ONE Chrome trace-event JSON:
+spans 5-10 kernels and a shared bus.  This module merges all of it
+into ONE Chrome trace-event JSON:
 
 * one ``pid`` per node (process-named after the node), carrying the
   node's full per-thread timeline exactly as the single-node exporter
@@ -20,26 +19,16 @@ all of it into ONE Chrome trace-event JSON:
 Flow identity: :meth:`~repro.net.fieldbus.Fieldbus.queue` stamps each
 frame with its arbitration sequence number (``Frame.flow``).  Sequence
 numbers are assigned at the cluster's barrier merge in deterministic
-``(time, node_index, seq)`` order -- the PR 8 invariant -- so flow ids,
-and therefore this exporter's output, are **byte-identical** across
-``sync=lockstep|adaptive|parallel`` and any worker count.  One frame
-reaches up to ``n - 1`` receivers; each (frame, receiver) pair gets
-its own arrow, id ``flow * 256 + receiver_index``.
+``(time, node_index, seq)`` order, so flow ids, and therefore this
+exporter's output, are **byte-identical** under ``sync=lockstep`` and
+``sync=adaptive``.  One frame reaches up to ``n - 1`` receivers; each
+(frame, receiver) pair gets its own arrow, id
+``flow * 256 + receiver_index``.
 
 Everything here is strictly post-hoc: the bus log, the per-interface
 receive logs, and the collectors only *record*; nothing feeds back
 into arbitration or scheduling, so full-mode per-node trace signatures
 are unchanged from an uninstrumented run (tested).
-
-Worker aggregation: under ``sync="parallel"`` the kernels, interfaces,
-and collectors live in forked workers.  Retrieval goes through the
-cluster's location-transparent query layer (``node_traces`` /
-``node_collectors`` / ``rx_logs`` / ``node_registries``), which
-evaluates module-level query functions inside the owning worker --
-collectors pickle without their kernel reference, and per-node metrics
-registries are built *in place* so trace-derived stats survive the
-trip.  The bus log stays in the parent, which owns the bus in every
-mode.
 """
 
 from __future__ import annotations
@@ -104,15 +93,9 @@ def enable_cluster_tracing(
 
     Enables the bus activity log and per-interface accepted-delivery
     logs; with ``obs`` (``"counters"``/``"full"``) also attaches an
-    :class:`ObsCollector` to every node that lacks one.  Must run
-    before parallel workers fork so the armed state is inherited by
-    the shards.  Returns the cluster for chaining.
+    :class:`ObsCollector` to every node that lacks one.  Returns the
+    cluster for chaining.
     """
-    if cluster._pool is not None:
-        raise RuntimeError(
-            "enable_cluster_tracing must run before parallel workers "
-            "start (the workers fork the armed interfaces)"
-        )
     cluster.bus.enable_trace()
     for interface in cluster.interfaces.values():
         if interface.rx_log is None:
@@ -281,8 +264,8 @@ def cluster_chrome_trace(
     Requires :func:`enable_cluster_tracing` before the run and
     full-mode per-node traces (the per-thread slices come from their
     segments).  Deliberately excludes anything mode-dependent
-    (sync mode, worker count, window statistics) from the payload, so
-    the export is byte-identical across sync modes and worker counts.
+    (sync mode, window statistics) from the payload, so the export is
+    byte-identical across sync modes.
     """
     names = list(cluster.nodes)
     node_index = {name: i for i, name in enumerate(names)}
@@ -388,10 +371,8 @@ def cluster_metrics_registry(
     """Aggregate cluster metrics: per-node collector registries (each
     relabeled with ``node=<name>``) plus the bus/dependability metrics.
 
-    Per-node registries are built where each kernel lives (inside the
-    owning worker under ``sync="parallel"``), then merged in node
-    order -- deterministic, so the JSON/Prometheus exports are
-    byte-identical across sync modes and worker counts.
+    Per-node registries are merged in node order -- deterministic, so
+    the JSON/Prometheus exports are byte-identical across sync modes.
     """
     # Imported lazily: repro.net.depend imports repro.obs.metrics, and
     # this module is part of the repro.obs package init.

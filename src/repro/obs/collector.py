@@ -178,19 +178,18 @@ class ObsCollector:
         return self
 
     # ------------------------------------------------------------------
-    # pickling (cluster workers ship collectors across the fork barrier)
+    # pickling
     # ------------------------------------------------------------------
     def __getstate__(self):
         """Picklable snapshot of everything the collector *observed*.
 
-        The attached kernel (whose thread programs hold closures) and
-        the registry-source callbacks are dropped: a collector shipped
-        back from a parallel-cluster worker carries its event records
-        and counters, not live kernel state.  Consequently
+        The attached kernel (whose thread programs hold closures that
+        ``pickle`` cannot ship) and the registry-source callbacks are
+        dropped: a pickled collector carries its event records and
+        counters, not live kernel state.  Consequently
         :meth:`as_registry` on an unpickled collector lacks the
-        trace-derived completion stats -- cluster aggregation therefore
-        builds registries *inside* the owning worker (see
-        ``repro.obs.cluster_trace``) and ships those instead.
+        trace-derived completion stats; build the registry from the
+        attached collector first when those are needed.
         """
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["kernel"] = None

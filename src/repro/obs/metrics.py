@@ -208,9 +208,9 @@ class MetricsRegistry:
         require identical bucket bounds and add bucket counts.  Merge
         order is argument order, which makes the combined export
         deterministic when callers pass registries in a deterministic
-        order (the parallel cluster passes per-node registries in node
-        order, so aggregated metrics are byte-identical across worker
-        counts).  Merging is associative, and merging into a *fresh*
+        order (the cluster aggregate passes per-node registries in node
+        order, so aggregated metrics are byte-identical across sync
+        modes).  Merging is associative, and merging into a *fresh*
         registry is idempotent in the sense that
         ``MetricsRegistry().merge(r)`` exports byte-identically to
         ``r`` itself (regression-tested).
@@ -243,24 +243,6 @@ class MetricsRegistry:
                     mine.total += theirs.total
                     mine.count += theirs.count
         return self
-
-    @classmethod
-    def merged(cls, registries) -> "MetricsRegistry":
-        """Deprecated alias for ``MetricsRegistry().merge(*registries)``.
-
-        PR 8 grew this classmethod next to the PR 5 instance method and
-        the pair read as two different operations; they never were.
-        Kept one deprecation cycle for external callers.
-        """
-        import warnings
-
-        warnings.warn(
-            "MetricsRegistry.merged(registries) is deprecated; use "
-            "MetricsRegistry().merge(*registries)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls().merge(*registries)
 
     def _sorted_metrics(self) -> List[object]:
         return [

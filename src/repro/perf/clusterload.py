@@ -3,8 +3,8 @@
 The cluster analogue of :mod:`repro.perf.workloads`: one parameterized
 configuration -- a ring of periodic senders over the 1 Mbit/s fieldbus
 -- measured identically by ``benchmarks/bench_cluster.py`` and the CI
-``cluster-perf-smoke``/``cluster-parallel-smoke`` jobs, so every entry
-in ``BENCH_cluster.json`` is comparable.
+``cluster-perf-smoke`` job, so every entry in ``BENCH_cluster.json`` is
+comparable.
 
 The ring topology is deliberately filter-heavy: node *i* broadcasts
 CAN id ``0x100 + i`` but accepts only its predecessor's id, so on an
@@ -18,34 +18,32 @@ frame (111 us of wire time at 1 Mbit/s) every
 idle-heavy regime (tens of milliseconds of silence between frames --
 where adaptive synchronization's window skipping dominates);
 ``u = 0.9`` keeps the bus saturated (every quantum has traffic; the
-win there comes from delivery pre-filtering, loop overhead, and --
-under ``sync="parallel"`` -- running the per-node application work in
-worker shards).
+win there comes from delivery pre-filtering and loop overhead).
 
 ``app_load`` models the *application* compute that real nodes run
 alongside their bus traffic.  ``"none"`` is the bare driver workload
 (kept for the idle-heavy regime, whose whole point is silence);
 ``"standard"`` adds :data:`APP_THREADS` periodic compute threads per
-node -- that per-node work is what parallel execution has to win on,
-since the bus itself is inherently serial.  The default ``"auto"``
-picks ``"standard"`` at ``utilization >= 0.3`` and ``"none"`` below.
+node, each job also burning real host CPU.  The default ``"auto"``
+picks ``"standard"`` at ``utilization >= 0.3`` and ``"none"`` below;
+the committed saturated ``BENCH_cluster.json`` headline is keyed on
+``"standard"``.
 
 Two measurements per configuration, as in the kernel harness:
 
 * **speed** (:func:`run_cluster_throughput`): wall time and sim-ns
-  per wall-second at ``jobs-only`` recording, GC suspended (parallel
-  pools are pre-started so the fork is setup, not measurement);
+  per wall-second at ``jobs-only`` recording, GC suspended;
 * **behavior** (:func:`cluster_signatures`): per-node sha256
   signatures of the *full* traces plus the delivery timelines and bus
-  counters.  Adaptive and parallel synchronization are only correct
-  if these are byte-identical to lockstep's.
+  counters.  Adaptive synchronization is only correct if these are
+  byte-identical to lockstep's.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import ZERO_OVERHEAD
@@ -94,11 +92,10 @@ APP_PERIODS_NS = (us(200), us(250), us(300))
 
 #: Host-CPU iterations of the per-job checksum churn.  Virtual
 #: ``Compute`` advances the clock for free, so on its own it cannot
-#: model the *host* cost of application code -- the thing worker
-#: shards actually parallelize.  Each app job therefore also runs a
-#: deterministic integer spin (~90 us of real CPU at ~0.09 us/iter),
-#: keeping trace volume unchanged while giving every node a realistic
-#: per-window compute bill.
+#: model the *host* cost of application code.  Each app job therefore
+#: also runs a deterministic integer spin (~90 us of real CPU at
+#: ~0.09 us/iter), keeping trace volume unchanged while giving every
+#: node a realistic per-window compute bill.
 APP_SPIN_ITERS = 1000
 
 
@@ -132,15 +129,13 @@ def build_ring_cluster(
     utilization: float,
     sync: str,
     record: str = "jobs-only",
-    workers: Optional[int] = None,
     app_load: str = "auto",
 ) -> Cluster:
     """Build (but do not run) the canonical ring cluster.
 
     Per-node received-frame timelines accumulate on each interface's
-    ``rx_timeline`` (``[(local_time, can_id), ...]``) so they live
-    wherever the node's kernel runs; collect them afterwards with
-    ``cluster.rx_timelines()``.
+    ``rx_timeline`` (``[(local_time, can_id), ...]``); collect them
+    afterwards with ``cluster.rx_timelines()``.
     """
     if nodes < 2:
         raise ValueError(f"ring needs at least 2 nodes (got {nodes})")
@@ -148,7 +143,7 @@ def build_ring_cluster(
         raise ValueError(f"utilization must be in (0, 1] (got {utilization})")
     app_load = resolve_app_load(app_load, utilization)
     bus = Fieldbus(1_000_000)
-    cluster = Cluster(bus=bus, sync=sync, workers=workers)
+    cluster = Cluster(bus=bus, sync=sync)
     period = sender_period_ns(nodes, utilization, bus)
     for i in range(nodes):
         name = f"n{i}"
@@ -201,16 +196,13 @@ def cluster_config(
     sync: str,
     record: str = "jobs-only",
     horizon_ns: int = CLUSTER_HORIZON_NS,
-    workers: int = 0,
     app_load: str = "auto",
 ) -> Dict:
     """The measurement configuration fingerprinted into the trajectory.
 
-    ``app_load`` and ``workers`` join the fingerprint only when they
-    actually shape the run (keeps pre-existing config hashes -- and
-    therefore regression baselines -- valid for the unchanged
-    configurations, and makes the trajectory gate compare parallel
-    entries only against entries with the same worker count).
+    ``app_load`` joins the fingerprint only when it actually shapes the
+    run (keeps pre-existing config hashes -- and therefore regression
+    baselines -- valid for the unchanged configurations).
     """
     config = {
         "workload": "ring-cluster/8-byte-frames",
@@ -223,8 +215,6 @@ def cluster_config(
     resolved = resolve_app_load(app_load, utilization)
     if resolved != "none":
         config["app_load"] = resolved
-    if workers:
-        config["workers"] = workers
     return config
 
 
@@ -234,22 +224,16 @@ def run_cluster_throughput(
     sync: str,
     record: str = "jobs-only",
     horizon_ns: int = CLUSTER_HORIZON_NS,
-    workers: Optional[int] = None,
     app_load: str = "auto",
 ) -> Dict:
     """One timed run; returns a trajectory-ready report dict.
 
     Same timing discipline as the kernel harness: full collection,
-    collector suspended across the timed section, restored after.  For
-    ``sync="parallel"`` the worker pool is started *before* the timed
-    section (the fork is one-time setup, not steady-state cost) and the
-    report gains the worker count and per-worker busy wall times.
+    collector suspended across the timed section, restored after.
     """
     cluster = build_ring_cluster(
-        nodes, utilization, sync, record, workers=workers, app_load=app_load
+        nodes, utilization, sync, record, app_load=app_load
     )
-    if sync == "parallel":
-        cluster.start_workers()
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -260,11 +244,7 @@ def run_cluster_throughput(
     finally:
         if gc_was_enabled:
             gc.enable()
-    events_popped = cluster.total_events_popped()
-    worker_count = cluster.worker_count
-    worker_stats = cluster.worker_stats()
-    cluster.close()
-    report = {
+    return {
         "sim_ns": horizon_ns,
         "wall_s": wall,
         "throughput_sim_ns_per_s": round(horizon_ns / wall) if wall > 0 else 0,
@@ -272,14 +252,8 @@ def run_cluster_throughput(
         "windows_skipped": cluster.windows_skipped,
         "deliveries_suppressed": cluster.deliveries_suppressed,
         "frames_delivered": cluster.bus.frames_delivered,
-        "events_popped": events_popped,
-        "workers": worker_count,
+        "events_popped": cluster.total_events_popped(),
     }
-    if worker_stats is not None:
-        report["per_worker_busy_s"] = [
-            round(s["busy_s"], 6) for s in worker_stats
-        ]
-    return report
 
 
 def cluster_signatures(
@@ -287,21 +261,20 @@ def cluster_signatures(
     utilization: float,
     sync: str,
     horizon_ns: int = SIGNATURE_HORIZON_NS,
-    workers: Optional[int] = None,
     app_load: str = "auto",
 ) -> Dict:
     """Full-record behavior fingerprint of one configuration.
 
     Returns per-node full-trace signatures, the per-node delivery
     timelines, and the bus counters -- everything that must be
-    byte-identical between sync modes and across worker counts.
+    byte-identical between sync modes.
     """
     cluster = build_ring_cluster(
-        nodes, utilization, sync, "full", workers=workers, app_load=app_load
+        nodes, utilization, sync, "full", app_load=app_load
     )
     cluster.run_until(horizon_ns)
     bus = cluster.bus
-    snapshot = {
+    return {
         "traces": cluster.trace_signatures(include_segments=True),
         "timelines": {
             name: [list(entry) for entry in timeline]
@@ -316,5 +289,3 @@ def cluster_signatures(
         },
         "interfaces": cluster.interface_stats(),
     }
-    cluster.close()
-    return snapshot

@@ -10,8 +10,8 @@ trajectory (``BENCH_kernel.json``) tracks across PRs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -31,12 +31,6 @@ class PerfReport:
     context_switches: int
     syscalls: int
     kernel_time_ns: int
-    #: Worker-pool shape when the run was sharded across processes
-    #: (``repro.perf.pool.WorkerPool``): pool size and per-worker busy
-    #: wall seconds.  Zero / empty for single-process runs, in which
-    #: case they stay out of the exported dict.
-    workers: int = 0
-    worker_busy_s: Tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def throughput_sim_ns_per_s(self) -> float:
@@ -56,11 +50,6 @@ class PerfReport:
         data = asdict(self)
         data["throughput_sim_ns_per_s"] = round(self.throughput_sim_ns_per_s)
         data["events_per_s"] = round(self.events_per_s)
-        if not self.workers:
-            del data["workers"]
-            del data["worker_busy_s"]
-        else:
-            data["worker_busy_s"] = [round(s, 6) for s in self.worker_busy_s]
         return data
 
     def render(self) -> str:
@@ -76,9 +65,6 @@ class PerfReport:
             f"  syscalls:         {self.syscalls}",
             f"  kernel time:      {self.kernel_time_ns / 1e6:.2f} ms virtual",
         ]
-        if self.workers:
-            busy = ", ".join(f"{s:.3f}" for s in self.worker_busy_s)
-            lines.append(f"  workers:          {self.workers} (busy s: {busy})")
         return "\n".join(lines)
 
 

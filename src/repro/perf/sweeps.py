@@ -58,7 +58,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "")
-        workers = int(raw) if raw else 1
+        try:
+            workers = int(raw) if raw else 1
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV}={raw!r}: expected a non-negative integer"
+            ) from None
     if workers < 0:
         raise ValueError(f"workers must be non-negative (got {workers})")
     if workers == 0:

@@ -792,17 +792,13 @@ def run_metrics(argv: List[str]) -> int:
 
 
 def _traced_ring_cluster(
-    nodes: int, utilization: float, horizon_ns: int, sync: str,
-    workers: int,
+    nodes: int, utilization: float, horizon_ns: int, sync: str
 ):
-    """One fully-instrumented ring run; returns the (closed-later) cluster."""
+    """One fully-instrumented ring run; returns the cluster."""
     from repro.obs.cluster_trace import enable_cluster_tracing
     from repro.perf.clusterload import build_ring_cluster
 
-    cluster = build_ring_cluster(
-        nodes, utilization, sync, record="full",
-        workers=workers or None,
-    )
+    cluster = build_ring_cluster(nodes, utilization, sync, record="full")
     enable_cluster_tracing(cluster, obs="full")
     cluster.run_until(horizon_ns)
     return cluster
@@ -822,10 +818,11 @@ def run_cluster_trace(argv: List[str]) -> int:
     exports the merged Chrome/Perfetto JSON (validated before writing),
     prints the bus-chain latency percentiles, and optionally writes the
     aggregated cross-node metrics registry.  ``--verify`` re-runs the
-    same configuration under lockstep / adaptive / parallel
-    synchronization and asserts the merged trace and metrics are
-    byte-identical -- the determinism contract of the exporter.
+    same configuration under the other synchronization mode and asserts
+    the merged trace and metrics are byte-identical -- the determinism
+    contract of the exporter.
     """
+    from repro.net.cluster import SYNC_MODES
     from repro.obs.analyzers import bus_chain_report
     from repro.obs.cluster_trace import (
         cluster_chrome_trace,
@@ -848,12 +845,8 @@ def run_cluster_trace(argv: List[str]) -> int:
         help="virtual run length in ms (default 100)",
     )
     parser.add_argument(
-        "--sync", choices=("lockstep", "adaptive", "parallel"),
+        "--sync", choices=SYNC_MODES,
         default="adaptive", help="cluster synchronization mode",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for --sync parallel (0 = auto)",
     )
     parser.add_argument(
         "--out", default="cluster.trace.json",
@@ -869,12 +862,12 @@ def run_cluster_trace(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller horizon and a 2-configuration --verify matrix",
+        help="20 ms virtual horizon instead of --horizon-ms",
     )
     parser.add_argument(
         "--verify", action="store_true",
-        help="assert byte-identical output across sync modes and "
-        "worker counts before writing",
+        help="assert byte-identical output under the other sync mode "
+        "before writing",
     )
     args = parser.parse_args(argv)
     if args.nodes < 2:
@@ -885,8 +878,6 @@ def run_cluster_trace(argv: List[str]) -> int:
         )
     if args.horizon_ms <= 0:
         parser.error(f"--horizon-ms must be positive (got {args.horizon_ms})")
-    if args.workers < 0:
-        parser.error(f"--workers must be non-negative (got {args.workers})")
     horizon = ms(20 if args.quick else args.horizon_ms)
 
     _banner(
@@ -894,7 +885,7 @@ def run_cluster_trace(argv: List[str]) -> int:
         f"{to_ms(horizon):.0f} ms, sync={args.sync}"
     )
     cluster = _traced_ring_cluster(
-        args.nodes, args.utilization, horizon, args.sync, args.workers
+        args.nodes, args.utilization, horizon, args.sync
     )
     payload = cluster_chrome_trace(cluster)
     count = validate_chrome_trace(payload)
@@ -903,7 +894,6 @@ def run_cluster_trace(argv: List[str]) -> int:
     rx_logs = cluster.rx_logs()
     rx_timelines = cluster.rx_timelines()
     registry = cluster_metrics_registry(cluster)
-    cluster.close()
 
     flow_pairs = sum(1 for e in payload["traceEvents"] if e.get("ph") == "s")
     print(
@@ -914,25 +904,18 @@ def run_cluster_trace(argv: List[str]) -> int:
     print(bus_chain_report(bus_events, rx_logs, rx_timelines))
 
     if args.verify:
-        matrix = [("lockstep", 0), ("parallel", 2)]
-        if not args.quick:
-            matrix.append(("parallel", 4))
+        sync = "lockstep" if args.sync == "adaptive" else "adaptive"
+        other = _traced_ring_cluster(
+            args.nodes, args.utilization, horizon, sync
+        )
         print()
-        for sync, workers in matrix:
-            other = _traced_ring_cluster(
-                args.nodes, args.utilization, horizon, sync, workers
-            )
-            other_text = _cluster_trace_text(cluster_chrome_trace(other))
-            other_metrics = cluster_metrics_registry(other).to_json()
-            other.close()
-            tag = f"{sync}/w{workers}" if workers else sync
-            if other_text != text:
-                print(f"VERIFY FAILED: trace differs under {tag}")
-                return 1
-            if other_metrics != registry.to_json():
-                print(f"VERIFY FAILED: metrics differ under {tag}")
-                return 1
-            print(f"verified byte-identical under {tag}")
+        if _cluster_trace_text(cluster_chrome_trace(other)) != text:
+            print(f"VERIFY FAILED: trace differs under {sync}")
+            return 1
+        if cluster_metrics_registry(other).to_json() != registry.to_json():
+            print(f"VERIFY FAILED: metrics differ under {sync}")
+            return 1
+        print(f"verified byte-identical under {sync}")
 
     with open(args.out, "w") as fh:
         fh.write(text)

@@ -1,13 +1,11 @@
 """Cluster synchronization modes: byte-identity + skipping.
 
-The adaptive conservative synchronization (PR 7) and the parallel
-sharded execution (PR 8) must be pure optimizations: for any workload,
-seed, fault pattern, worker count, and chunking of ``run_until``, the
-full-record traces, delivery timelines, membership transitions, and
-bus/interface statistics must be byte-identical to the lockstep
-reference -- while adaptive actually skips the quantum loop whenever
-the cluster is provably silent, and parallel runs the windows in
-forked worker shards.
+The adaptive conservative synchronization must be a pure
+optimization: for any workload, seed, fault pattern, and chunking of
+``run_until``, the full-record traces, delivery timelines, membership
+transitions, and bus/interface statistics must be byte-identical to
+the lockstep reference -- while adaptive actually skips the quantum
+loop whenever the cluster is provably silent.
 """
 
 import pytest
@@ -20,22 +18,13 @@ from repro.net import Cluster, Fieldbus, HeartbeatMonitor, net_send
 from repro.net.cluster import SYNC_MODES
 from repro.timeunits import ms, us
 
-#: Worker count used for sync="parallel" in these differential tests
-#: (small: correctness is worker-count invariant, forks are not free).
-TEST_WORKERS = 2
-
 
 def zero_kernel():
     return Kernel(EDFScheduler(ZERO_OVERHEAD))
 
 
 def _snapshot(cluster):
-    """Everything that must match between sync modes.
-
-    Uses the cluster's location-transparent accessors, so the same
-    snapshot works whether node state lives in this process (serial)
-    or in worker shards (parallel).
-    """
+    """Everything that must match between sync modes."""
     bus = cluster.bus
     return {
         "traces": cluster.trace_signatures(include_segments=True),
@@ -61,7 +50,7 @@ def _traffic_cluster(sync, seed, dependability=False, fault=False, nodes=4):
     import random
 
     rng = random.Random(seed)
-    cluster = Cluster(Fieldbus(1_000_000), sync=sync, workers=TEST_WORKERS)
+    cluster = Cluster(Fieldbus(1_000_000), sync=sync)
     if dependability:
         cluster.enable_dependability(4)
     if fault:
@@ -82,8 +71,6 @@ def _traffic_cluster(sync, seed, dependability=False, fault=False, nodes=4):
         # Alternate filtered and promiscuous receivers.
         accept = {0x100 + (i + 1) % nodes} if i % 2 == 0 else None
         iface = cluster.add_node(name, kernel, accept=accept)
-        # Timelines ride on the interface so they live wherever the
-        # node's kernel runs (worker shards included).
         iface.rx_timeline = []
         period = rng.choice([ms(3), ms(5), ms(7)])
         kernel.create_thread(
@@ -118,9 +105,9 @@ class TestByteIdentity:
         (False, False), (False, True), (True, True),
     ])
     def test_full_traces_and_timelines_identical(self, seed, dependability, fault):
-        """Multi-seed property: adaptive == parallel == lockstep byte
-        for byte, even with faults on the wire, error confinement
-        armed, and the horizon reached in uneven chunks."""
+        """Multi-seed property: adaptive == lockstep byte for byte,
+        even with faults on the wire, error confinement armed, and the
+        horizon reached in uneven chunks."""
         snapshots = {}
         for sync in SYNC_MODES:
             cluster = _traffic_cluster(
@@ -129,16 +116,14 @@ class TestByteIdentity:
             for t in (ms(13), ms(31), ms(40)):
                 cluster.run_until(t)
             snapshots[sync] = _snapshot(cluster)
-            cluster.close()
         assert snapshots["adaptive"] == snapshots["lockstep"]
-        assert snapshots["parallel"] == snapshots["lockstep"]
 
     def test_membership_timeline_identical(self):
         """Heartbeat membership (crash + restart rejoin) transitions at
         identical instants under both sync modes."""
         results = {}
         for sync in SYNC_MODES:
-            cluster = Cluster(sync=sync, workers=TEST_WORKERS)
+            cluster = Cluster(sync=sync)
             for i in range(3):
                 cluster.add_node(f"n{i}", zero_kernel())
             monitor = HeartbeatMonitor(cluster, period=ms(10))
@@ -156,9 +141,7 @@ class TestByteIdentity:
                 "views": {n: monitor.view(n) for n in cluster.nodes},
                 "traces": cluster.trace_signatures(include_segments=True),
             }
-            cluster.close()
         assert results["adaptive"] == results["lockstep"]
-        assert results["parallel"] == results["lockstep"]
         assert results["adaptive"]["events"]  # the crash was observed
 
 
@@ -206,7 +189,7 @@ class TestAdaptiveSkipping:
 
 class TestDeliveryPrefilter:
     def _ring(self, sync):
-        cluster = Cluster(Fieldbus(1_000_000), sync=sync, workers=TEST_WORKERS)
+        cluster = Cluster(Fieldbus(1_000_000), sync=sync)
         for i in range(4):
             kernel = zero_kernel()
             iface = cluster.add_node(
@@ -234,10 +217,9 @@ class TestDeliveryPrefilter:
         return cluster
 
     def test_prefilter_keeps_deliver_stats_unchanged(self):
-        """The adaptive and parallel modes suppress filter-rejected
-        delivery events at schedule time; every ``NetInterface.deliver``
-        statistic must still match the reference that delivers to
-        everyone."""
+        """The adaptive mode suppresses filter-rejected delivery events
+        at schedule time; every ``NetInterface.deliver`` statistic must
+        still match the reference that delivers to everyone."""
         snaps = {}
         suppressed = {}
         for sync in SYNC_MODES:
@@ -245,13 +227,10 @@ class TestDeliveryPrefilter:
             cluster.run_until(ms(25))
             snaps[sync] = _snapshot(cluster)
             suppressed[sync] = cluster.deliveries_suppressed
-            cluster.close()
         assert snaps["adaptive"] == snaps["lockstep"]
-        assert snaps["parallel"] == snaps["lockstep"]
         # The ring has 2 disinterested receivers per frame; adaptive
-        # and parallel never scheduled those events, lockstep did.
+        # never scheduled those events, lockstep did.
         assert suppressed["adaptive"] > 0
-        assert suppressed["parallel"] > 0
         assert suppressed["lockstep"] == 0
 
     def test_in_flight_frame_stats_are_not_counted_early(self):
@@ -260,9 +239,7 @@ class TestDeliveryPrefilter:
         deliver event has not fired either)."""
         observed = {}
         for sync in SYNC_MODES:
-            cluster = Cluster(
-                Fieldbus(1_000_000), sync=sync, workers=TEST_WORKERS
-            )
+            cluster = Cluster(Fieldbus(1_000_000), sync=sync)
             tx = zero_kernel()
             rx = zero_kernel()
             tx_iface = cluster.add_node("tx", tx)
@@ -280,9 +257,7 @@ class TestDeliveryPrefilter:
             observed[sync] = (
                 mid, cluster.interface_stats()["rx"]["frames_filtered"]
             )
-            cluster.close()
         assert observed["adaptive"] == observed["lockstep"]
-        assert observed["parallel"] == observed["lockstep"]
         assert observed["adaptive"] == (0, 1)
 
 
@@ -299,8 +274,9 @@ class TestGuards:
             cluster.run_until(ms(1))
 
     def test_unknown_sync_mode_rejected(self):
-        with pytest.raises(ValueError, match="sync mode"):
-            Cluster(sync="bogus")
+        for sync in ("bogus", "parallel"):
+            with pytest.raises(ValueError, match="sync mode"):
+                Cluster(sync=sync)
 
     def test_adaptive_is_the_default(self):
         assert Cluster().sync == "adaptive"
@@ -310,3 +286,13 @@ class TestGuards:
         cluster = Cluster()
         cluster.run_until(ms(5))
         assert cluster.now == ms(5)
+
+    def test_rerun_to_same_instant_is_a_noop(self):
+        for sync in SYNC_MODES:
+            cluster = _traffic_cluster(sync, 2)
+            cluster.run_until(ms(15))
+            rounds = cluster.sync_rounds
+            before = _snapshot(cluster)
+            cluster.run_until(ms(15))
+            assert cluster.sync_rounds == rounds, sync
+            assert _snapshot(cluster) == before, sync

@@ -2,8 +2,8 @@
 
 The merged Perfetto export (one pid per node + a bus pid, causal flow
 arrows from transmit slices to deliveries) must be byte-identical
-across every synchronization mode and worker count -- including under
-wire faults with the dependability layer retransmitting -- and must
+across the synchronization modes -- including under wire faults with
+the dependability layer retransmitting -- and must
 never change what the cluster *does* (full-mode per-node trace
 signatures match an uninstrumented run).
 """
@@ -47,11 +47,9 @@ def _arm_faults(cluster, seed):
     cluster.bus.fault_hook = hook
 
 
-def _traced_ring(sync, workers=None, fault=False, dependability=False,
-                 obs="full", seed=7):
-    cluster = build_ring_cluster(
-        NODES, UTILIZATION, sync, record="full", workers=workers
-    )
+def _traced_ring(sync, fault=False, dependability=False, obs="full",
+                 seed=7):
+    cluster = build_ring_cluster(NODES, UTILIZATION, sync, record="full")
     if dependability:
         cluster.enable_dependability(4)
     if fault:
@@ -67,41 +65,25 @@ def _trace_text(cluster):
 
 
 class TestByteIdentity:
-    def test_identical_across_sync_modes_and_worker_counts(self):
+    def test_identical_across_sync_modes(self):
         """The merged trace AND the aggregated metrics are byte for
-        byte the same under lockstep / adaptive / parallel with 1, 2,
-        and 4 workers."""
-        configs = [("lockstep", None), ("adaptive", None)]
-        configs += [("parallel", w) for w in (1, 2, 4)]
+        byte the same under lockstep and adaptive."""
         texts, metrics = {}, {}
-        for sync, workers in configs:
-            cluster = _traced_ring(sync, workers=workers)
-            texts[(sync, workers)], _ = _trace_text(cluster)
-            metrics[(sync, workers)] = cluster_metrics_registry(
-                cluster
-            ).to_json()
-            cluster.close()
-        reference = texts[("lockstep", None)]
-        reference_metrics = metrics[("lockstep", None)]
-        for key in configs[1:]:
-            assert texts[key] == reference, f"trace differs under {key}"
-            assert metrics[key] == reference_metrics, (
-                f"metrics differ under {key}"
-            )
+        for sync in SYNC_MODES:
+            cluster = _traced_ring(sync)
+            texts[sync], _ = _trace_text(cluster)
+            metrics[sync] = cluster_metrics_registry(cluster).to_json()
+        assert texts["adaptive"] == texts["lockstep"]
+        assert metrics["adaptive"] == metrics["lockstep"]
 
     def test_identical_under_faults_with_dependability(self):
         """Wire faults + retransmission layer: still byte-identical,
         and the dependability activity is actually in the trace."""
         texts, payloads = {}, {}
         for sync in SYNC_MODES:
-            workers = 2 if sync == "parallel" else None
-            cluster = _traced_ring(
-                sync, workers=workers, fault=True, dependability=True
-            )
+            cluster = _traced_ring(sync, fault=True, dependability=True)
             texts[sync], payloads[sync] = _trace_text(cluster)
-            cluster.close()
         assert texts["adaptive"] == texts["lockstep"]
-        assert texts["parallel"] == texts["lockstep"]
         events = payloads["lockstep"]["traceEvents"]
         assert any(e.get("cat") == "bus-error" for e in events), (
             "corrupted frames must appear as error-frame slices"
@@ -117,7 +99,6 @@ class TestMergedShape:
         cluster = _traced_ring("adaptive")
         _, payload = _trace_text(cluster)
         self_registry = cluster_metrics_registry(cluster)
-        cluster.close()
         payload["_registry"] = self_registry  # piggyback for shape tests
         return payload
 
@@ -181,22 +162,9 @@ class TestNonInterference:
                                    record="full")
         plain.run_until(HORIZON)
         baseline = plain.trace_signatures(include_segments=True)
-        plain.close()
 
         traced = _traced_ring("adaptive")
         assert traced.trace_signatures(include_segments=True) == baseline
-        traced.close()
-
-    def test_enable_after_workers_started_rejected(self):
-        cluster = build_ring_cluster(
-            NODES, UTILIZATION, "parallel", record="full", workers=2
-        )
-        try:
-            if cluster.start_workers():
-                with pytest.raises(RuntimeError, match="before parallel"):
-                    enable_cluster_tracing(cluster)
-        finally:
-            cluster.close()
 
     def test_unarmed_cluster_export_rejected(self):
         cluster = build_ring_cluster(NODES, UTILIZATION, "lockstep",
@@ -204,7 +172,6 @@ class TestNonInterference:
         cluster.run_until(ms(5))
         with pytest.raises(ValueError, match="not armed"):
             cluster_chrome_trace(cluster)
-        cluster.close()
 
 
 class TestCollectorPickle:
@@ -220,7 +187,6 @@ class TestCollectorPickle:
             name: stats.completions
             for name, stats in collector.tasks.items()
         }
-        cluster.close()
 
 
 class TestBusChainLatency:
@@ -231,7 +197,6 @@ class TestBusChainLatency:
             cluster.rx_logs(),
             cluster.rx_timelines(),
         )
-        cluster.close()
         assert set(chains) == set(range(0x100, 0x100 + NODES))
         for can_id, stats in chains.items():
             assert stats["frames"] > 0

@@ -117,8 +117,8 @@ class TestMerge:
         )
 
     def test_double_merge_equals_single_pass(self):
-        """Regression: merging shard-by-shard (the worker aggregation
-        path) must equal merging everything in one variadic call."""
+        """Regression: merging shard-by-shard must equal merging
+        everything in one variadic call."""
         shards = [_sample_registry(s) for s in (1, 2, 3)]
         one_pass = MetricsRegistry().merge(*shards)
         stepwise = MetricsRegistry()
@@ -126,11 +126,24 @@ class TestMerge:
             stepwise.merge(shard)
         assert one_pass.to_json() == stepwise.to_json()
 
-    def test_merged_shim_warns_and_matches_canonical(self):
-        shards = [_sample_registry(s) for s in (1, 2)]
-        with pytest.warns(DeprecationWarning, match="merge"):
-            via_shim = MetricsRegistry.merged(shards)
-        assert via_shim.to_json() == MetricsRegistry().merge(*shards).to_json()
+    def test_merge_folds_in_order(self):
+        shards = []
+        for base in (1, 10):
+            reg = MetricsRegistry()
+            reg.counter("jobs_total", node=f"n{base}").inc(base)
+            reg.counter("shared_total").inc(base)
+            reg.gauge("depth").set(base)
+            reg.histogram("lat", buckets=(10, 20)).observe(base)
+            shards.append(reg)
+        merged = MetricsRegistry().merge(*shards)
+        out = merged.to_dict()
+        assert out["shared_total"]["series"][0]["value"] == 11
+        assert out["depth"]["series"][0]["value"] == 10
+        assert out["depth"]["series"][0]["max"] == 10
+        assert out["lat"]["series"][0]["count"] == 2
+        # Same shards, same order -> byte-identical export.
+        again = MetricsRegistry().merge(*shards)
+        assert again.to_json() == merged.to_json()
 
 
 class TestCollector:

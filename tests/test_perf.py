@@ -147,6 +147,12 @@ def test_resolve_workers_semantics(monkeypatch):
         resolve_workers(-1)
 
 
+def test_resolve_workers_names_the_env_var_on_garbage(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "two")
+    with pytest.raises(ValueError, match=f"{WORKERS_ENV}='two'"):
+        resolve_workers(None)
+
+
 def test_figure_series_parallel_identical_to_serial():
     """The Figures 3-5 sweep gives bit-identical results at any worker
     count (every cell regenerates its workloads from its own seed)."""

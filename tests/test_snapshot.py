@@ -22,7 +22,6 @@ from repro.faults.chaos import (
     run_chaos,
     run_net_chaos,
 )
-from repro.net.cluster import CLUSTER_WORKERS_ENV
 from repro.perf import snapshot as snapshot_mod
 from repro.perf.snapshot import (
     SNAPSHOT_ENV,
@@ -33,7 +32,7 @@ from repro.perf.snapshot import (
     fork_available,
     resolve_snapshot_mode,
 )
-from repro.perf.sweeps import PrefixSpec, prefix_map
+from repro.perf.sweeps import WORKERS_ENV, PrefixSpec, prefix_map
 from repro.sim.engine import EventQueue
 from repro.timeunits import ms
 
@@ -147,7 +146,7 @@ class TestChaosEquality:
 
 
 class TestNetChaosEquality:
-    """Cluster sweeps: membership timelines included, all worker counts."""
+    """Cluster sweeps: membership timelines included, any worker count."""
 
     NET = dict(
         dependability=True,
@@ -179,7 +178,9 @@ class TestNetChaosEquality:
     @pytest.mark.parametrize("workers", ["0", "2"])
     @pytest.mark.parametrize("mode", MODES)
     def test_restored_cluster_equal_cold(self, mode, workers, monkeypatch):
-        monkeypatch.setenv(CLUSTER_WORKERS_ENV, workers)
+        # The sweep worker count bounds concurrent fork-mode
+        # continuations per group; it must never change the bytes.
+        monkeypatch.setenv(WORKERS_ENV, workers)
         cases = [(drop_p, seed) for drop_p in (0.15,) for seed in SEEDS]
         cold = [
             run_net_chaos(
