@@ -20,9 +20,9 @@ to the serial run).  ``--smoke`` shrinks the sweep for CI.
 With ``--warmup-ms`` the fault storms arm only after a fault-free
 warm-up; all cases with the same defenses then share that warm-up
 prefix, which the sweep simulates **once** and restores per point
-through :func:`repro.perf.sweeps.prefix_map` (``--snapshot`` selects
-the mechanism; results are byte-identical to cold-starting each
-point -- see ``bench_sweeps.py`` for the measured speedup).
+through :func:`repro.perf.sweeps.prefix_map` (fork snapshots where
+available; results are byte-identical to cold-starting each point --
+see ``bench_sweeps.py`` for the measured speedup).
 """
 
 import statistics
@@ -87,17 +87,17 @@ def _chaos_plan(case: Tuple[float, bool, int, int, int]):
     return spec, continuation
 
 
-def run_cases(cases, snapshot=None):
+def run_cases(cases):
     """Execute the grid: shared-prefix planner when a warm-up makes
     prefixes shareable, the classic parallel cold sweep otherwise."""
     if any(case[4] > 0 for case in cases):
-        return prefix_map(_chaos_plan, cases, mode=snapshot)
+        return prefix_map(_chaos_plan, cases)
     return sweep_map(_chaos_case, cases)
 
 
-def sweep(rates, seeds, duration_ns, warmup_ns=0, snapshot=None):
+def sweep(rates, seeds, duration_ns, warmup_ns=0):
     cases = make_cases(rates, seeds, duration_ns, warmup_ns)
-    outcomes = run_cases(cases, snapshot)
+    outcomes = run_cases(cases)
     rows = []
     per_seed = len(seeds)
     for index in range(0, len(cases), per_seed):

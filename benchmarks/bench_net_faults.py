@@ -25,8 +25,8 @@ violation) -- the ``net-chaos-smoke`` CI job runs exactly that.
 With ``--warmup-ms`` the wire faults arm only after a loss-free
 warm-up; cases with the same retry bound then share that warm-up
 cluster, simulated once and restored per point through
-:func:`repro.perf.sweeps.prefix_map` (``--snapshot`` picks the
-mechanism; byte-identical to cold-starting each point).
+:func:`repro.perf.sweeps.prefix_map` (fork snapshots where available;
+byte-identical to cold-starting each point).
 """
 
 import statistics
@@ -98,17 +98,17 @@ def _net_plan(case: Tuple[float, int, int, int, int]):
     return spec, continuation
 
 
-def run_cases(cases, snapshot=None):
+def run_cases(cases):
     """Execute the grid: shared-prefix planner when a warm-up makes
     prefixes shareable, the classic parallel cold sweep otherwise."""
     if any(case[4] > 0 for case in cases):
-        return prefix_map(_net_plan, cases, mode=snapshot)
+        return prefix_map(_net_plan, cases)
     return sweep_map(_net_case, cases)
 
 
-def sweep(drop_ps, seeds, duration_ns, warmup_ns=0, snapshot=None):
+def sweep(drop_ps, seeds, duration_ns, warmup_ns=0):
     cases = make_cases(drop_ps, seeds, duration_ns, warmup_ns)
-    outcomes = run_cases(cases, snapshot)
+    outcomes = run_cases(cases)
     rows = []
     per_seed = len(seeds)
     for index in range(0, len(cases), per_seed):

@@ -47,7 +47,7 @@ from common import (
     sweeps_trajectory_path,
 )
 from repro.analysis import format_table
-from repro.perf.snapshot import resolve_snapshot_mode
+from repro.perf.snapshot import fork_available
 from repro.perf.sweeps import prefix_map
 from repro.timeunits import ms, to_ms
 
@@ -74,15 +74,17 @@ def _timed(fn):
             gc.enable()
 
 
-def _section(name, plan, cases, mode):
+def _section(name, plan, cases):
     """Time one sweep section cold and snapshotted; verify identity.
 
-    Cold goes through the same planner with the snapshot machinery
-    disabled (``mode="cold"`` cold-starts every point serially), so
-    the two timings differ only in prefix reuse.
+    Cold runs every point serially through the same plan, building its
+    own prefix (what :func:`prefix_map` does for a group it cannot
+    share), so the two timings differ only in prefix reuse.
     """
-    cold, cold_wall = _timed(lambda: prefix_map(plan, cases, mode="cold"))
-    snap, snap_wall = _timed(lambda: prefix_map(plan, cases, mode=mode))
+    cold, cold_wall = _timed(
+        lambda: [cont(spec.build()) for spec, cont in map(plan, cases)]
+    )
+    snap, snap_wall = _timed(lambda: prefix_map(plan, cases))
     mismatches = [
         index for index, (a, b) in enumerate(zip(cold, snap)) if a != b
     ]
@@ -98,15 +100,15 @@ def _section(name, plan, cases, mode):
     }
 
 
-def run_sections(quick, mode):
-    """Both canonical sections under one snapshot mode."""
+def run_sections(quick):
+    """Both canonical sections, cold and snapshotted."""
     f_rates, f_seeds, f_dur, f_warm = FAULT_QUICK if quick else FAULT_FULL
     n_drops, n_seeds, n_dur, n_warm = NET_QUICK if quick else NET_FULL
     fault_cases = bench_faults.make_cases(f_rates, f_seeds, f_dur, f_warm)
     net_cases = bench_net_faults.make_cases(n_drops, n_seeds, n_dur, n_warm)
     return [
-        _section("fault storm", bench_faults._chaos_plan, fault_cases, mode),
-        _section("net faults", bench_net_faults._net_plan, net_cases, mode),
+        _section("fault storm", bench_faults._chaos_plan, fault_cases),
+        _section("net faults", bench_net_faults._net_plan, net_cases),
     ]
 
 
@@ -145,9 +147,11 @@ def main(argv=None) -> int:
     )
     args = apply_bench_args(parser.parse_args(argv))
     quick = args.quick or args.smoke
-    mode = resolve_snapshot_mode()
+    # The trajectory config keeps its "mode" field so that committed
+    # config hashes stay valid; without fork every point runs cold.
+    mode = "fork" if fork_available() else "cold"
 
-    sections = run_sections(quick, mode)
+    sections = run_sections(quick)
 
     rows = []
     for sec in sections:
@@ -210,8 +214,8 @@ def main(argv=None) -> int:
     if args.min_speedup > 0:
         if mode == "cold":
             print(
-                f"speedup bound skipped: snapshot mode resolved to 'cold' "
-                f"(no fork support?); measured {speedup:.2f}x"
+                f"speedup bound skipped: no fork support, every point ran "
+                f"cold; measured {speedup:.2f}x"
             )
         elif cores < 2:
             print(

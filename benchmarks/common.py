@@ -7,7 +7,7 @@ survives pytest's capture) in addition to printing it.
 All benchmarks read their knobs from one place -- here -- either as
 environment variables (how the pytest-run benchmarks are configured)
 or through :func:`bench_arg_parser`, which gives standalone benchmark
-CLIs the same ``--seed/--out/--workers/--record`` flags and writes
+CLIs the same ``--out/--workers/--record/--obs`` flags and writes
 them back into the environment so the env-based getters agree.
 
 Environment knobs:
@@ -21,7 +21,6 @@ Environment knobs:
 * ``REPRO_BENCH_RECORD`` -- trace recording mode for live-kernel
   benchmarks (``full``, ``jobs-only`` or ``off``; default
   ``jobs-only``).
-* ``REPRO_BENCH_SEED`` -- base RNG seed for sweeps that accept one.
 * ``REPRO_BENCH_OUT`` -- output directory for rendered results
   (default ``benchmarks/results/``).
 * ``REPRO_BENCH_TRAJECTORY`` -- perf trajectory file live-kernel
@@ -31,9 +30,6 @@ Environment knobs:
   (``counters`` or ``full``; default unset = observation off).
   Benchmarks that honor it can dump the metrics/trace artifacts via
   :func:`dump_obs_artifacts`.
-* ``REPRO_SNAPSHOT`` -- snapshot mechanism for shared-prefix sweeps
-  (``auto``/``fork``/``deepcopy``/``cold``; see
-  :mod:`repro.perf.snapshot`).
 * ``REPRO_BENCH_SWEEPS_TRAJECTORY`` -- sweep-speedup trajectory file
   (default ``BENCH_sweeps.json`` at the repo root).
 """
@@ -45,7 +41,6 @@ import os
 from pathlib import Path
 from typing import List, Optional
 
-from repro.perf.snapshot import SNAPSHOT_ENV, SNAPSHOT_MODES
 from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
 from repro.sim.trace import RECORD_MODES
 
@@ -120,12 +115,6 @@ def bench_record_mode() -> str:
     return mode
 
 
-def bench_seed(default: int = 0) -> int:
-    """Base RNG seed for seeded sweeps."""
-    raw = os.environ.get("REPRO_BENCH_SEED", "")
-    return int(raw) if raw else default
-
-
 def bench_out_dir() -> Path:
     """Directory rendered benchmark output is persisted into."""
     raw = os.environ.get("REPRO_BENCH_OUT", "")
@@ -196,9 +185,6 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
-        "--seed", type=int, default=None, help="base RNG seed for the sweep"
-    )
-    parser.add_argument(
         "--out", type=Path, default=None,
         help="directory for rendered results (default benchmarks/results/)",
     )
@@ -214,18 +200,11 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
         "--obs", choices=("counters", "full"), default=None,
         help="attach an observability collector to live-kernel runs",
     )
-    parser.add_argument(
-        "--snapshot", choices=SNAPSHOT_MODES, default=None,
-        help="snapshot mechanism for shared-prefix sweeps "
-             "(auto = fork where available; cold disables prefix reuse)",
-    )
     return parser
 
 
 def apply_bench_args(args: argparse.Namespace) -> argparse.Namespace:
     """Publish parsed shared flags into the environment knobs."""
-    if getattr(args, "seed", None) is not None:
-        os.environ["REPRO_BENCH_SEED"] = str(args.seed)
     if getattr(args, "out", None) is not None:
         os.environ["REPRO_BENCH_OUT"] = str(args.out)
     if getattr(args, "workers", None) is not None:
@@ -236,8 +215,6 @@ def apply_bench_args(args: argparse.Namespace) -> argparse.Namespace:
         os.environ["REPRO_BENCH_RECORD"] = args.record
     if getattr(args, "obs", None) is not None:
         os.environ["REPRO_BENCH_OBS"] = args.obs
-    if getattr(args, "snapshot", None) is not None:
-        os.environ[SNAPSHOT_ENV] = args.snapshot
     return args
 
 

@@ -167,7 +167,7 @@ def chaos_continue(
 
     The kernel must sit exactly at ``faults_from``: the continuation's
     operation sequence is then identical whether ``kernel`` came from
-    a cold :func:`chaos_prefix` call, a fork, or a deepcopy snapshot.
+    a cold :func:`chaos_prefix` call or a fork snapshot of one.
     """
     if kernel.now != faults_from:
         raise ValueError(
@@ -310,8 +310,8 @@ class NetChaosState:
     Everything :func:`net_chaos_continue` needs to finish the run:
     the cluster (paused at the split point), the replicated channel,
     the optional heartbeat monitor, and the horizon the prefix was
-    built for.  Fork- and deepcopy-snapshot safe: the cluster runs a
-    serial synchronization mode (no worker pool processes).
+    built for.  Fork-snapshot safe: the cluster runs in this process
+    (no worker pool processes).
     """
 
     cluster: object
@@ -339,8 +339,9 @@ def net_chaos_prefix(
 
     Every argument shapes the prefix (the writer's publish cutoff
     depends on ``duration_ns``, the silence event is scheduled at
-    build time), so all of them belong in a snapshot cache key.  The
-    returned state sits exactly at ``t_split``.
+    build time), so all of them belong in the sweep's
+    :class:`~repro.perf.sweeps.PrefixSpec` key.  The returned state
+    sits exactly at ``t_split``.
     """
     from repro.net.cluster import Cluster
     from repro.net.global_state import GlobalStateChannel

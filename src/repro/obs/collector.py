@@ -178,29 +178,6 @@ class ObsCollector:
         return self
 
     # ------------------------------------------------------------------
-    # pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Picklable snapshot of everything the collector *observed*.
-
-        The attached kernel (whose thread programs hold closures that
-        ``pickle`` cannot ship) and the registry-source callbacks are
-        dropped: a pickled collector carries its event records and
-        counters, not live kernel state.  Consequently
-        :meth:`as_registry` on an unpickled collector lacks the
-        trace-derived completion stats; build the registry from the
-        attached collector first when those are needed.
-        """
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["kernel"] = None
-        state["_registry_sources"] = []
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    # ------------------------------------------------------------------
     # internal get-or-create (kept tiny; runs on enabled hot paths)
     # ------------------------------------------------------------------
     def _task(self, name: str) -> _TaskStats:

@@ -15,10 +15,9 @@ not the hot path itself:
   through, plus the shared-prefix planner (:func:`prefix_map`) that
   simulates each common warm-up prefix once and restores every sweep
   point from a snapshot of it;
-* :mod:`repro.perf.snapshot` -- the checkpoint/restore mechanisms
-  behind that planner: fork-based copy-on-write prefix servers and
-  closure-aware in-process deepcopy snapshots with a content-addressed
-  cache, byte-identical to cold runs by construction;
+* :mod:`repro.perf.snapshot` -- the checkpoint/restore mechanism
+  behind that planner: fork-based copy-on-write prefix servers,
+  byte-identical to cold runs by construction;
 * :mod:`repro.perf.trajectory` -- the persistent machine-readable
   perf history (``BENCH_kernel.json``) that makes regressions visible
   across PRs;
@@ -29,13 +28,7 @@ not the hot path itself:
 
 from repro.perf.counters import PerfReport, collect_report
 from repro.perf.profiler import profile_call
-from repro.perf.snapshot import (
-    SnapshotCache,
-    SnapshotError,
-    SnapshotServer,
-    deep_snapshot,
-    resolve_snapshot_mode,
-)
+from repro.perf.snapshot import SnapshotError, SnapshotServer
 from repro.perf.sweeps import (
     PrefixSpec,
     parallel_map,
@@ -57,11 +50,8 @@ __all__ = [
     "resolve_workers",
     "PrefixSpec",
     "prefix_map",
-    "SnapshotCache",
     "SnapshotError",
     "SnapshotServer",
-    "deep_snapshot",
-    "resolve_snapshot_mode",
     "append_entry",
     "check_regression",
     "config_hash",

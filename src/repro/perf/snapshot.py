@@ -5,70 +5,46 @@ sweep points share an identical warm-up prefix: the same workload,
 diverging only at a fault-activation time or a parameter that first
 matters after the split.  Because the simulator is deterministic
 (byte-identical sha256 trace signatures), a prefix simulated once can
-stand in for every point that shares it.  This module provides the two
-restore mechanisms behind :func:`repro.perf.sweeps.prefix_map`:
+stand in for every point that shares it.
 
-**Fork-based copy-on-write snapshots** (:class:`SnapshotServer`).  A
-forked server process runs the shared prefix once to the divergence
-point ``t_split``, then, without waiting for the caller, forks one
-child per sweep point; each child applies its divergent continuation
-on the inherited state and ships the (picklable) outcome back over its
-own pipe.  The prefix state is never serialized: the
-:class:`~repro.sim.engine.EventQueue` is full of closures over the
-kernel (release actions, timer callbacks) that ``pickle`` cannot ship,
-but ``fork`` preserves them for free, and the OS shares the prefix
-pages copy-on-write until a child diverges.
+The restore mechanism behind :func:`repro.perf.sweeps.prefix_map` is
+fork copy-on-write (:class:`SnapshotServer`).  A forked server process
+runs the shared prefix once to the divergence point ``t_split``, then,
+without waiting for the caller, forks one child per sweep point; each
+child applies its divergent continuation on the inherited state and
+ships the (picklable) outcome back over its own pipe.  The prefix state
+is never serialized: the :class:`~repro.sim.engine.EventQueue` is full
+of closures over the kernel (release actions, timer callbacks) that
+``pickle`` cannot ship and ``copy.deepcopy`` would share with the
+original, but ``fork`` preserves them for free, and the OS shares the
+prefix pages copy-on-write until a child diverges.
 
-**In-process deepcopy snapshots** (:func:`deep_snapshot`,
-:class:`SnapshotCache`) for single-run replay/bisection where forking
-is unavailable or unwanted.  A plain ``copy.deepcopy`` is silently
-*wrong* for kernel state: the stdlib treats function objects as atomic,
-so a pending event action ``lambda: self._on_release(thread, nominal)``
-in the copy would still close over the *original* kernel and corrupt
-it when fired.  :func:`deep_snapshot` temporarily installs a
-closure-aware function copier that rebuilds closure cells (and
-defaults) through the deepcopy memo, making the copied event graph
-self-contained.  :class:`SnapshotCache` content-addresses master
-states by ``(config_hash, t_split)`` so repeated restores of the same
-prefix hit a cache.
-
-Mechanism selection is one env knob, ``REPRO_SNAPSHOT``: ``auto``
-(default; fork where available), ``fork``, ``deepcopy``, or
-``0``/``cold`` to disable snapshots entirely.  On platforms without
-``fork`` every fork request degrades to cold-start -- a gate, not a
-new dependency -- and results are identical either way, which the
-snapshot test battery asserts byte-for-byte.
+On platforms without ``fork`` (:func:`fork_available` is false) the
+planner cold-starts every point instead -- a gate, not a new
+dependency -- and results are identical either way, which the snapshot
+test battery asserts byte-for-byte.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import multiprocessing
 import os
 import signal
 import sys
 import time
 import traceback
-import types
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "SNAPSHOT_ENV",
-    "SNAPSHOT_MODES",
     "SnapshotError",
     "fork_available",
-    "resolve_snapshot_mode",
-    "deep_snapshot",
-    "SnapshotCache",
     "SnapshotServer",
 ]
 
-#: Environment knob selecting the snapshot mechanism for sweeps.
-SNAPSHOT_ENV = "REPRO_SNAPSHOT"
-
-#: Accepted mode requests (``resolve_snapshot_mode`` narrows ``auto``).
-SNAPSHOT_MODES = ("auto", "fork", "deepcopy", "cold")
+#: Seconds a server waits on a continuation between checks that the
+#: process which created it is still alive.
+ORPHAN_POLL_S = 0.1
 
 
 class SnapshotError(RuntimeError):
@@ -80,203 +56,25 @@ def fork_available() -> bool:
     return hasattr(os, "fork") and hasattr(os, "waitpid")
 
 
-def resolve_snapshot_mode(mode: Optional[str] = None) -> str:
-    """Narrow a mode request to a concrete mechanism.
-
-    ``None`` falls back to the ``REPRO_SNAPSHOT`` environment variable
-    (empty/``1``/``on`` mean ``auto``; ``0``/``off`` mean ``cold``).
-    Returns ``"fork"``, ``"deepcopy"``, or ``"cold"``; ``auto`` and
-    unavailable-``fork`` degrade to ``cold`` so callers never need a
-    platform check of their own.
-    """
-    if mode is None:
-        raw = os.environ.get(SNAPSHOT_ENV, "").strip().lower()
-        if raw in ("", "1", "on", "auto"):
-            mode = "auto"
-        elif raw in ("0", "off", "cold"):
-            mode = "cold"
-        elif raw in ("fork", "deepcopy"):
-            mode = raw
-        else:
-            raise ValueError(
-                f"{SNAPSHOT_ENV}={raw!r}: expected one of {SNAPSHOT_MODES} "
-                "(or 0/1/on/off)"
-            )
-    if mode not in SNAPSHOT_MODES:
-        raise ValueError(
-            f"unknown snapshot mode {mode!r} (expected one of {SNAPSHOT_MODES})"
-        )
-    if mode == "auto":
-        return "fork" if fork_available() else "cold"
-    if mode == "fork" and not fork_available():
-        return "cold"
-    return mode
-
-
-# ----------------------------------------------------------------------
-# closure-aware deepcopy
-# ----------------------------------------------------------------------
-
-def _copy_function(fn: types.FunctionType, memo: Dict) -> types.FunctionType:
-    """Deepcopy a function *including* its closure cells and defaults.
-
-    Module-level functions with no captured state pass through shared
-    (they are immutable for our purposes).  Anything with a closure or
-    defaults is rebuilt: the clone is registered in the memo *before*
-    the cells are filled, so cyclic graphs (kernel -> event -> action
-    closure -> kernel) terminate.
-    """
-    if (
-        fn.__closure__ is None
-        and fn.__defaults__ is None
-        and fn.__kwdefaults__ is None
-    ):
-        return fn
-    freevars = fn.__closure__ or ()
-    cells = tuple(types.CellType() for _ in freevars)
-    clone = types.FunctionType(
-        fn.__code__, fn.__globals__, fn.__name__, fn.__defaults__,
-        cells or None,
-    )
-    memo[id(fn)] = clone
-    for target, cell in zip(cells, freevars):
-        try:
-            contents = cell.cell_contents
-        except ValueError:  # genuinely empty cell (unset nonlocal)
-            continue
-        target.cell_contents = copy.deepcopy(contents, memo)
-    if fn.__defaults__ is not None:
-        clone.__defaults__ = copy.deepcopy(fn.__defaults__, memo)
-    if fn.__kwdefaults__ is not None:
-        clone.__kwdefaults__ = copy.deepcopy(fn.__kwdefaults__, memo)
-    clone.__qualname__ = fn.__qualname__
-    clone.__module__ = fn.__module__
-    clone.__doc__ = fn.__doc__
-    if fn.__dict__:
-        clone.__dict__.update(copy.deepcopy(fn.__dict__, memo))
-    return clone
-
-
-def _copy_slotted(obj: Any, memo: Dict) -> Any:
-    """Deepcopy a ``__slots__`` object slot-by-slot through the memo.
-
-    Used for classes whose ``__getstate__`` deliberately *prunes* state
-    for pickling (e.g. :class:`~repro.obs.collector.ObsCollector` drops
-    its kernel back-reference so cluster workers can ship observations)
-    -- a snapshot must be complete, so it bypasses that pruning.
-    """
-    cls = type(obj)
-    clone = cls.__new__(cls)
-    memo[id(obj)] = clone
-    for slot in cls.__slots__:
-        if hasattr(obj, slot):
-            setattr(clone, slot, copy.deepcopy(getattr(obj, slot), memo))
-    return clone
-
-
-@contextlib.contextmanager
-def _snapshot_dispatch():
-    """Temporarily teach ``copy.deepcopy`` to copy captured state.
-
-    Swaps the stdlib's treat-functions-as-atomic dispatch entry for the
-    closure-aware copier (plus the no-pruning copier for collectors,
-    when the obs layer is loaded), and restores the table on exit.
-    Not thread-safe -- snapshots are taken from the single-threaded
-    benchmark/test drivers.
-    """
-    dispatch = copy._deepcopy_dispatch
-    saved = {}
-    targets: List[Tuple[type, Callable]] = [
-        (types.FunctionType, _copy_function)
-    ]
-    collector_mod = sys.modules.get("repro.obs.collector")
-    if collector_mod is not None:
-        targets.append((collector_mod.ObsCollector, _copy_slotted))
-    for cls, copier in targets:
-        saved[cls] = dispatch.get(cls)
-        dispatch[cls] = copier
-    try:
-        yield
-    finally:
-        for cls, previous in saved.items():
-            if previous is None:
-                dispatch.pop(cls, None)
-            else:
-                dispatch[cls] = previous
-
-
-def deep_snapshot(state: Any) -> Any:
-    """A private, self-contained deep copy of simulation state.
-
-    Unlike ``copy.deepcopy``, pending event actions (closures over the
-    kernel, its threads, channels...) are rebuilt against the copied
-    object graph, so running the copy never mutates the original.
-    """
-    with _snapshot_dispatch():
-        return copy.deepcopy(state)
-
-
-class SnapshotCache:
-    """Content-addressed cache of deepcopy prefix snapshots.
-
-    Masters are keyed by ``(config_hash, t_split)`` -- the caller's
-    ``config_hash`` must fingerprint everything that shaped the prefix
-    (workload, policies, defenses...), mirroring the perf-trajectory
-    convention.  :meth:`restore` returns a *private*
-    :func:`deep_snapshot` of the master on every call; the master
-    itself is built once and never run.  Eviction is FIFO at
-    ``capacity`` masters.
-    """
-
-    def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be positive (got {capacity})")
-        self._capacity = capacity
-        self._masters: Dict[Tuple[str, int], Any] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._masters)
-
-    def restore(
-        self, config_hash: str, t_split: int, build: Callable[[], Any]
-    ) -> Any:
-        """A private copy of the prefix state for this configuration.
-
-        ``build`` runs (once per key) to produce the master: it must
-        return the state paused exactly at ``t_split``.
-        """
-        key = (config_hash, t_split)
-        master = self._masters.get(key)
-        if master is None:
-            self.misses += 1
-            master = build()
-            if len(self._masters) >= self._capacity:
-                self._masters.pop(next(iter(self._masters)))
-            self._masters[key] = master
-        else:
-            self.hits += 1
-        return deep_snapshot(master)
-
-    def clear(self) -> None:
-        """Drop every cached master (counters are kept)."""
-        self._masters.clear()
-
-
-# ----------------------------------------------------------------------
-# fork-based copy-on-write snapshots
-# ----------------------------------------------------------------------
-
 def _collect_child(
-    pending: List[Tuple[int, int, Any]], results: List[Any]
+    pending: List[Tuple[int, int, Any]], results: List[Any], parent: int
 ) -> None:
     """Receive the oldest pending child's outcome, reap it, place it.
 
     The entry leaves ``pending`` only once its child is reaped, so an
-    interrupted collection leaves it for :func:`_reap`.
+    interrupted collection leaves it for :func:`_reap`.  While it
+    waits, the server checks every :data:`ORPHAN_POLL_S` that its
+    creator ``parent`` is still its parent; once it is not (the sweep
+    process died and the server was reparented), the server kills and
+    reaps its children and exits.  EOF on the pipe to ``parent`` would
+    not signal that death: servers forked after this one inherit the
+    parent's end of it.
     """
     index, pid, conn = pending[0]
+    while not conn.poll(ORPHAN_POLL_S):
+        if os.getppid() != parent:
+            _reap(pending)
+            os._exit(1)
     try:
         kind, payload = conn.recv()
     except EOFError:
@@ -307,6 +105,7 @@ def _serve(
     build: Callable[[], Any],
     continuations: Sequence[Callable[[Any], Any]],
     children: int,
+    parent: int,
 ) -> None:
     """Server-process body: prefix once, then fork the futures.
 
@@ -324,7 +123,9 @@ def _serve(
     (what :meth:`SnapshotServer.close` sends an abandoned server) does
     the same and exits at once.  SIGTERM is held from each fork until
     the child is registered in ``pending``, so none escapes that
-    cleanup.
+    cleanup.  Nor does the server outlive ``parent``, the process that
+    created it: waiting on a continuation, it notices when it has been
+    reparented and cleans up the same way (see :func:`_collect_child`).
     """
     t0 = time.perf_counter()
     state = build()
@@ -341,7 +142,7 @@ def _serve(
     try:
         for index, continuation in enumerate(continuations):
             while len(pending) >= children:
-                _collect_child(pending, results)
+                _collect_child(pending, results, parent)
             parent_end, child_end = multiprocessing.Pipe(duplex=False)
             sys.stdout.flush()
             sys.stderr.flush()
@@ -365,7 +166,7 @@ def _serve(
             signal.pthread_sigmask(signal.SIG_UNBLOCK, sigterm)
             child_end.close()
         while pending:
-            _collect_child(pending, results)
+            _collect_child(pending, results, parent)
     finally:
         _reap(pending)
     conn.send(("done", results))
@@ -383,7 +184,8 @@ class SnapshotServer:
     run at once (1 = one at a time; other servers still run alongside).
     Always :meth:`close` (or use as a context manager): an abandoned
     server is killed and reaped together with its in-flight children,
-    never leaked.
+    never leaked.  If the creating process dies instead, the server
+    takes its children down and exits the next time it waits on one.
     """
 
     def __init__(
@@ -395,9 +197,7 @@ class SnapshotServer:
         name: str = "snapshot",
     ):
         if not fork_available():
-            raise SnapshotError(
-                "fork-based snapshots need os.fork (use deepcopy/cold mode)"
-            )
+            raise SnapshotError("fork-based snapshots need os.fork")
         continuations = list(continuations)
         if not continuations:
             raise ValueError("SnapshotServer needs at least one continuation")
@@ -408,6 +208,7 @@ class SnapshotServer:
         self.prefix_wall_s: Optional[float] = None
         self._results: Optional[List[Any]] = None
         parent_conn, child_conn = multiprocessing.Pipe()
+        parent = os.getpid()
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
@@ -415,7 +216,7 @@ class SnapshotServer:
             code = 0
             try:
                 parent_conn.close()
-                _serve(child_conn, build, continuations, children)
+                _serve(child_conn, build, continuations, children, parent)
             except BaseException:
                 code = 1
                 with contextlib.suppress(OSError):

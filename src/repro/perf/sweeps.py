@@ -20,9 +20,9 @@ degrades to the serial path -- a gate, not a new dependency.
 :func:`prefix_map` is the shared-prefix planner on top of
 :mod:`repro.perf.snapshot`: sweep points that share a warm-up prefix
 are grouped by a :class:`PrefixSpec`, each group's prefix is simulated
-**once**, and the per-point continuations run from checkpoint/restore
-snapshots of it -- with results byte-identical to the cold path in
-every mode (fork / deepcopy / cold).
+**once**, and the per-point continuations run from fork copy-on-write
+snapshots of it -- with results byte-identical to cold-starting every
+point, which is what it does where ``fork`` is unavailable.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork
-        return None
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -93,17 +86,14 @@ def parallel_map(
     """
     items = list(items)
     count = resolve_workers(workers)
-    if count <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    context = _fork_context()
-    if context is None:
+    if count <= 1 or len(items) <= 1 or not _snapshot.fork_available():
         return [fn(item) for item in items]
     count = min(count, len(items))
     if chunksize is None:
         # A few chunks per worker balances load without drowning the
         # pool in tiny tasks.
         chunksize = max(1, len(items) // (count * 4))
-    with context.Pool(processes=count) as pool:
+    with multiprocessing.get_context("fork").Pool(processes=count) as pool:
         return pool.map(fn, items, chunksize)
 
 
@@ -137,7 +127,6 @@ def prefix_map(
     plan: Callable[[T], Tuple[PrefixSpec, Callable[[Any], R]]],
     cases: Sequence[T],
     *,
-    mode: Optional[str] = None,
     children: Optional[int] = None,
 ) -> List[R]:
     """Run a sweep through a shared-prefix plan.
@@ -146,81 +135,49 @@ def prefix_map(
     the prefix it shares and the function finishing the run from a
     restored prefix state.  Points are grouped by ``(spec.key,
     spec.t_split)``; each group's prefix is simulated once and its
-    continuations run from snapshots of it.  Results come back in case
-    order and are byte-identical to cold-starting every point
+    continuations run from fork snapshots of it.  Results come back in
+    case order and are byte-identical to cold-starting every point
     (``continuation(spec.build())``) -- the fallback this degrades to
-    under ``REPRO_SNAPSHOT=0``, on platforms without ``fork``, and for
-    groups where sharing cannot pay (a single member, or ``t_split``
-    0).
+    on platforms without ``fork`` and for groups where sharing cannot
+    pay (a single member, or ``t_split`` 0).
 
-    ``mode`` overrides the ``REPRO_SNAPSHOT`` mechanism; ``children``
-    bounds concurrent fork-mode continuations per group (default: the
-    ``REPRO_BENCH_WORKERS`` worker count).  In fork mode all group
-    servers are created up front and each forks its continuations as
-    soon as its own prefix is built, so distinct groups overlap end to
-    end even with ``children=1`` (up to ``children`` continuations per
-    group at once); the parent only collects, in case order.  If any
-    group fails, every server is closed, taking its in-flight
-    continuations down with it, and the failure surfaces as
+    ``children`` bounds concurrent continuations per group (default:
+    the ``REPRO_BENCH_WORKERS`` worker count).  All group servers are
+    created up front and each forks its continuations as soon as its
+    own prefix is built, so distinct groups overlap end to end even
+    with ``children=1`` (up to ``children`` continuations per group at
+    once); the parent only collects, in case order.  If any group
+    fails, every server is closed, taking its in-flight continuations
+    down with it, and the failure surfaces as
     :class:`~repro.perf.snapshot.SnapshotError`.
     """
     cases = list(cases)
-    mechanism = _snapshot.resolve_snapshot_mode(mode)
     groups: Dict[Tuple, Tuple[PrefixSpec, List[Tuple[int, Callable]]]] = {}
-    order: List[Tuple] = []
     for index, case in enumerate(cases):
         spec, continuation = plan(case)
-        group_key = (spec.key, spec.t_split)
-        bucket = groups.get(group_key)
-        if bucket is None:
-            bucket = groups[group_key] = (spec, [])
-            order.append(group_key)
-        bucket[1].append((index, continuation))
+        _, members = groups.setdefault((spec.key, spec.t_split), (spec, []))
+        members.append((index, continuation))
     results: List[Any] = [None] * len(cases)
-
-    def run_cold(spec: PrefixSpec, members) -> None:
-        for index, continuation in members:
-            results[index] = continuation(spec.build())
-
-    def shareable(spec: PrefixSpec, members) -> bool:
-        return spec.t_split > 0 and len(members) > 1
-
-    if mechanism == "fork":
-        servers: Dict[Tuple, _snapshot.SnapshotServer] = {}
-        try:
-            for group_key in order:
-                spec, members = groups[group_key]
-                if shareable(spec, members):
+    servers: Dict[Tuple, _snapshot.SnapshotServer] = {}
+    try:
+        if _snapshot.fork_available():
+            for group_key, (spec, members) in groups.items():
+                if spec.t_split > 0 and len(members) > 1:
                     servers[group_key] = _snapshot.SnapshotServer(
                         spec.build,
                         [continuation for _, continuation in members],
                         children=resolve_workers(children),
                         name=f"prefix{spec.key!r}@{spec.t_split}",
                     )
-            for group_key in order:
-                spec, members = groups[group_key]
-                server = servers.get(group_key)
-                if server is None:
-                    run_cold(spec, members)
-                    continue
+        for group_key, (spec, members) in groups.items():
+            server = servers.get(group_key)
+            if server is None:
+                for index, continuation in members:
+                    results[index] = continuation(spec.build())
+            else:
                 for (index, _), outcome in zip(members, server.results()):
                     results[index] = outcome
-        finally:
-            for server in servers.values():
-                server.close()
-    elif mechanism == "deepcopy":
-        cache = _snapshot.SnapshotCache(capacity=max(1, len(groups)))
-        for group_key in order:
-            spec, members = groups[group_key]
-            if shareable(spec, members):
-                for index, continuation in members:
-                    results[index] = continuation(
-                        cache.restore(repr(spec.key), spec.t_split, spec.build)
-                    )
-            else:
-                run_cold(spec, members)
-    else:
-        for group_key in order:
-            spec, members = groups[group_key]
-            run_cold(spec, members)
+    finally:
+        for server in servers.values():
+            server.close()
     return results

@@ -52,7 +52,7 @@ run cold and through :func:`repro.perf.sweeps.prefix_map`, every
 restored point is checked byte-identical to its cold twin, and the
 wall-clock speedup is reported::
 
-    python -m repro.reproduce snapshot --mode fork --warmup-ms 1500
+    python -m repro.reproduce snapshot --warmup-ms 1500
 """
 
 from __future__ import annotations
@@ -944,16 +944,12 @@ def run_snapshot(argv: List[str]) -> int:
     import time as _time
 
     from repro.faults.chaos import chaos_continue, chaos_prefix, run_chaos
-    from repro.perf.snapshot import SNAPSHOT_MODES, resolve_snapshot_mode
+    from repro.perf.snapshot import fork_available
     from repro.perf.sweeps import PrefixSpec, prefix_map
 
     parser = argparse.ArgumentParser(
         prog="reproduce snapshot",
         description="Checkpoint/restore prefix reuse: identity + speedup.",
-    )
-    parser.add_argument(
-        "--mode", choices=SNAPSHOT_MODES, default=None,
-        help="snapshot mechanism (default: REPRO_SNAPSHOT or auto)",
     )
     parser.add_argument(
         "--duration-ms", type=int, default=4000,
@@ -976,7 +972,6 @@ def run_snapshot(argv: List[str]) -> int:
         parser.error("--warmup-ms must lie inside the --duration-ms horizon")
 
     duration, warmup = ms(args.duration_ms), ms(args.warmup_ms)
-    mode = resolve_snapshot_mode(args.mode)
     cases = [(rate, seed) for rate in args.rates for seed in args.seeds]
 
     def plan(case):
@@ -1013,13 +1008,14 @@ def run_snapshot(argv: List[str]) -> int:
 
     print(
         f"Snapshot demo: {len(cases)} points x {args.duration_ms} ms, "
-        f"shared {args.warmup_ms} ms warm-up, mode={mode}"
+        f"shared {args.warmup_ms} ms warm-up, "
+        f"{'fork snapshots' if fork_available() else 'cold (no fork)'}"
     )
     started = _time.perf_counter()
     cold = [cold_case(case) for case in cases]
     cold_wall = _time.perf_counter() - started
     started = _time.perf_counter()
-    restored = prefix_map(plan, cases, mode=mode)
+    restored = prefix_map(plan, cases)
     snap_wall = _time.perf_counter() - started
 
     failed = False

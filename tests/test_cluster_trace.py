@@ -9,7 +9,6 @@ signatures match an uninstrumented run).
 """
 
 import json
-import pickle
 import random
 
 import pytest
@@ -172,21 +171,6 @@ class TestNonInterference:
         cluster.run_until(ms(5))
         with pytest.raises(ValueError, match="not armed"):
             cluster_chrome_trace(cluster)
-
-
-class TestCollectorPickle:
-    def test_round_trip_drops_kernel_keeps_counters(self):
-        cluster = _traced_ring("adaptive", obs="counters")
-        collector = cluster.nodes["n0"].obs
-        clone = pickle.loads(pickle.dumps(collector))
-        assert clone.kernel is None
-        assert clone.switches == collector.switches
-        assert {
-            name: stats.completions for name, stats in clone.tasks.items()
-        } == {
-            name: stats.completions
-            for name, stats in collector.tasks.items()
-        }
 
 
 class TestBusChainLatency:

@@ -49,6 +49,17 @@ def test_faults_no_defenses_flag(capsys):
     assert "defenses off" in out
 
 
+def test_snapshot_subcommand(capsys):
+    args = [
+        "snapshot", "--duration-ms", "300", "--warmup-ms", "225",
+        "--seeds", "1", "2", "--rates", "5", "50",
+    ]
+    assert reproduce.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(": identical (" in line for line in lines) == 4
+    assert lines[-1] == "every restored point is byte-identical to its cold run"
+
+
 def test_default_runs_everything_quick_is_not_tested_here():
     """Running all targets takes minutes; covered by the benchmarks."""
     assert set(reproduce.TARGETS) >= {

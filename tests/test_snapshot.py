@@ -1,18 +1,23 @@
 """Checkpoint/restore snapshots: byte-identity is the contract.
 
 Every test here pins the same invariant from a different angle: a
-sweep point restored from a shared-prefix snapshot (fork or deepcopy)
-must be **byte-identical** to cold-starting that point -- full-record
-trace signatures, metrics exports, membership timelines, everything.
-The graceful-degradation paths (``REPRO_SNAPSHOT=0``, no ``os.fork``)
-must produce the same bytes too, just slower.
+sweep point restored from a shared-prefix fork snapshot must be
+**byte-identical** to cold-starting that point -- full-record trace
+signatures, metrics exports, membership timelines, everything.  The
+graceful-degradation path (no ``os.fork``) must produce the same bytes
+too, just slower.  And no forked process may outlive a failure: not a
+failed group's, not a killed sweep's.
 """
 
-import copy
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
+
+import repro
 
 from repro.faults.chaos import (
     chaos_continue,
@@ -23,24 +28,13 @@ from repro.faults.chaos import (
     run_net_chaos,
 )
 from repro.perf import snapshot as snapshot_mod
-from repro.perf.snapshot import (
-    SNAPSHOT_ENV,
-    SnapshotCache,
-    SnapshotError,
-    SnapshotServer,
-    deep_snapshot,
-    fork_available,
-    resolve_snapshot_mode,
-)
-from repro.perf.sweeps import WORKERS_ENV, PrefixSpec, prefix_map
-from repro.sim.engine import EventQueue
+from repro.perf.snapshot import SnapshotError, SnapshotServer, fork_available
+from repro.perf.sweeps import WORKERS_ENV, PrefixSpec, parallel_map, prefix_map
 from repro.timeunits import ms
 
 requires_fork = pytest.mark.skipif(
     not fork_available(), reason="os.fork unavailable"
 )
-
-MODES = [pytest.param("fork", marks=requires_fork), "deepcopy"]
 
 DUR = ms(300)
 WARM = ms(225)
@@ -82,13 +76,12 @@ def _chaos_plan(case):
 
 
 class TestChaosEquality:
-    """Kernel fault sweeps: restored == cold, across seeds and modes."""
+    """Kernel fault sweeps: restored == cold, across seeds."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_restored_points_equal_cold(self, mode):
+    def test_restored_points_equal_cold(self):
         cases = [(rate, seed) for rate in RATES for seed in SEEDS]
         cold = [_chaos_cold(rate, seed) for rate, seed in cases]
-        restored = prefix_map(_chaos_plan, cases, mode=mode)
+        restored = prefix_map(_chaos_plan, cases)
         assert restored == cold
         for a, b in zip(cold, restored):
             assert a.trace_signature == b.trace_signature
@@ -101,8 +94,7 @@ class TestChaosEquality:
         reference = run_chaos(1, DUR)
         assert paused.trace_signature == reference.trace_signature
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_metrics_exports_identical(self, mode):
+    def test_metrics_exports_identical(self):
         """The observability collector survives the snapshot: JSON and
         Prometheus exports of a restored run match the cold run
         byte-for-byte."""
@@ -141,7 +133,7 @@ class TestChaosEquality:
 
         cases = [(seed,) for seed in SEEDS]
         expected = [cold(seed) for (seed,) in cases]
-        restored = prefix_map(plan, cases, mode=mode)
+        restored = prefix_map(plan, cases)
         assert restored == expected
 
 
@@ -176,10 +168,9 @@ class TestNetChaosEquality:
         return spec, continuation
 
     @pytest.mark.parametrize("workers", ["0", "2"])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_restored_cluster_equal_cold(self, mode, workers, monkeypatch):
-        # The sweep worker count bounds concurrent fork-mode
-        # continuations per group; it must never change the bytes.
+    def test_restored_cluster_equal_cold(self, workers, monkeypatch):
+        # The sweep worker count bounds concurrent continuations per
+        # group; it must never change the bytes.
         monkeypatch.setenv(WORKERS_ENV, workers)
         cases = [(drop_p, seed) for drop_p in (0.15,) for seed in SEEDS]
         cold = [
@@ -192,7 +183,7 @@ class TestNetChaosEquality:
             )
             for drop_p, seed in cases
         ]
-        restored = prefix_map(self._plan, cases, mode=mode)
+        restored = prefix_map(self._plan, cases)
         assert restored == cold
         for a, b in zip(cold, restored):
             assert a.signature == b.signature
@@ -201,71 +192,14 @@ class TestNetChaosEquality:
             assert a.membership_events
 
 
-class TestDeepSnapshot:
-    """The closure-aware deepcopy that makes in-process snapshots safe."""
-
-    def _queue_with_closure(self):
-        counts = {"fired": 0}
-        queue = EventQueue()
-
-        def action():
-            counts["fired"] += 1
-
-        queue.schedule(10, action, label="closure")
-        return queue, counts
-
-    def test_copy_fires_without_touching_original(self):
-        queue, counts = self._queue_with_closure()
-        snap = deep_snapshot({"queue": queue, "counts": counts})
-        event = snap["queue"].pop_due(10)
-        event.action()
-        assert snap["counts"]["fired"] == 1
-        assert counts["fired"] == 0
-
-    def test_stdlib_deepcopy_shares_closures(self):
-        """The hazard deep_snapshot exists for: stdlib deepcopy treats
-        functions as atomic, so a copied event mutates the ORIGINAL."""
-        queue, counts = self._queue_with_closure()
-        clone = copy.deepcopy({"queue": queue, "counts": counts})
-        event = clone["queue"].pop_due(10)
-        event.action()
-        assert counts["fired"] == 1  # leaked through the shared closure
-        assert clone["counts"]["fired"] == 0
-
-
-class TestSnapshotCache:
-    def test_hits_misses_and_private_copies(self):
-        built = []
-
-        def build():
-            built.append(1)
-            return {"clock": 225, "log": []}
-
-        cache = SnapshotCache(capacity=2)
-        first = cache.restore("cfg-a", 225, build)
-        second = cache.restore("cfg-a", 225, build)
-        assert len(built) == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert first == second and first is not second
-        # Restored copies are private: mutating one leaks nowhere.
-        first["log"].append("x")
-        assert cache.restore("cfg-a", 225, build)["log"] == []
-
-        cache.restore("cfg-b", 225, build)
-        assert len(built) == 2  # different config hash = different master
-        cache.restore("cfg-a", 300, build)
-        assert len(built) == 3  # different split point too
-        assert len(cache) == 2  # FIFO eviction held capacity
-
-        cache.clear()
-        assert len(cache) == 0
-        cache.restore("cfg-a", 225, build)
-        assert len(built) == 4
+def _pid(_item):
+    """Which process ran this item (module-level: picklable)."""
+    return os.getpid()
 
 
 class TestGracefulDegradation:
-    """``REPRO_SNAPSHOT=0`` and fork-less platforms fall back to cold
-    runs transparently -- same results, no snapshot machinery."""
+    """Fork-less platforms fall back to cold runs transparently -- same
+    results, no snapshot machinery."""
 
     def _poison_server(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -273,30 +207,26 @@ class TestGracefulDegradation:
 
         monkeypatch.setattr(snapshot_mod, "SnapshotServer", boom)
 
-    def test_env_zero_disables_snapshots(self, monkeypatch):
-        monkeypatch.setenv(SNAPSHOT_ENV, "0")
-        self._poison_server(monkeypatch)
-        cases = [(rate, seed) for rate in (50.0,) for seed in SEEDS]
-        cold = [_chaos_cold(rate, seed) for rate, seed in cases]
-        assert prefix_map(_chaos_plan, cases) == cold
-
     def test_auto_without_fork_degrades_to_cold(self, monkeypatch):
-        monkeypatch.setenv(SNAPSHOT_ENV, "auto")
+        """Without fork, prefix_map cold-starts every point."""
         monkeypatch.setattr(snapshot_mod, "fork_available", lambda: False)
         self._poison_server(monkeypatch)
-        assert resolve_snapshot_mode() == "cold"
-        assert resolve_snapshot_mode("fork") == "cold"
         cases = [(rate, seed) for rate in (5.0,) for seed in SEEDS]
         cold = [_chaos_cold(rate, seed) for rate, seed in cases]
         assert prefix_map(_chaos_plan, cases) == cold
+
+    def test_parallel_map_without_fork_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(snapshot_mod, "fork_available", lambda: False)
+        items = list(range(4))
+        assert parallel_map(_pid, items, workers=2) == [
+            _pid(item) for item in items
+        ]
 
     def test_single_member_groups_run_cold(self, monkeypatch):
         """A prefix shared by nobody is not worth a server."""
         self._poison_server(monkeypatch)
         cases = [(5.0, 1)]
-        assert prefix_map(_chaos_plan, cases, mode="fork") == [
-            _chaos_cold(5.0, 1)
-        ]
+        assert prefix_map(_chaos_plan, cases) == [_chaos_cold(5.0, 1)]
 
 
 class TestSnapshotServer:
@@ -391,11 +321,41 @@ def _wait_for(path, timeout_s=20.0):
     return path.exists()
 
 
+def _alive(pid):
+    """Whether ``pid`` runs (an exited process awaiting reaping does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: a signalable pid counts as running
+        return True
+
+
+#: A sweep whose continuations publish ``"<server pid> <own pid>"`` to
+#: ``argv[1]`` and then sleep for a minute.
+_SLEEPY_SWEEP = """
+import os, sys, time
+from repro.perf.sweeps import PrefixSpec, prefix_map
+
+def linger(_state):
+    scratch = f"{sys.argv[1]}.{os.getpid()}"
+    with open(scratch, "w") as fh:
+        fh.write(f"{os.getppid()} {os.getpid()}")
+    os.rename(scratch, sys.argv[1])
+    time.sleep(60)
+
+spec = PrefixSpec(key=("sleepy",), t_split=1, build=dict)
+prefix_map(lambda case: (spec, linger), range(3), children=1)
+"""
+
+
 class TestPrefixGroups:
     """Several prefix groups in one ``prefix_map`` call."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_interleaved_groups_and_singleton_equal_cold(self, mode):
+    def test_interleaved_groups_and_singleton_equal_cold(self):
         cases = [
             (True, WARM, 5.0, 1),
             (False, WARM, 5.0, 1),
@@ -404,7 +364,7 @@ class TestPrefixGroups:
             (False, WARM, 50.0, 2),
         ]
         cold = [_grouped_cold(case) for case in cases]
-        assert prefix_map(_grouped_plan, cases, mode=mode) == cold
+        assert prefix_map(_grouped_plan, cases) == cold
 
     @staticmethod
     def _marker_plan(continuations):
@@ -432,7 +392,7 @@ class TestPrefixGroups:
         plan, cases = self._marker_plan(
             {"a": meet("a", "b"), "b": meet("b", "a")}
         )
-        assert prefix_map(plan, cases, mode="fork", children=1) == [True] * 4
+        assert prefix_map(plan, cases, children=1) == [True] * 4
 
     @requires_fork
     def test_failed_group_leaves_no_orphans(self, tmp_path):
@@ -453,32 +413,34 @@ class TestPrefixGroups:
         plan, cases = self._marker_plan({"a": fail, "b": linger})
         start = time.monotonic()
         with pytest.raises(SnapshotError, match="boom in group a"):
-            prefix_map(plan, cases, mode="fork", children=1)
+            prefix_map(plan, cases, children=1)
         assert time.monotonic() - start < 30
         pid = int(pid_file.read_text())
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
-
-class TestResolveMode:
-    def test_env_spellings(self, monkeypatch):
-        expected_auto = "fork" if fork_available() else "cold"
-        for raw, want in (
-            ("", expected_auto),
-            ("1", expected_auto),
-            ("on", expected_auto),
-            ("auto", expected_auto),
-            ("0", "cold"),
-            ("off", "cold"),
-            ("cold", "cold"),
-            ("deepcopy", "deepcopy"),
-        ):
-            monkeypatch.setenv(SNAPSHOT_ENV, raw)
-            assert resolve_snapshot_mode() == want, raw
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(SNAPSHOT_ENV, "banana")
-        with pytest.raises(ValueError, match="REPRO_SNAPSHOT"):
-            resolve_snapshot_mode()
-        with pytest.raises(ValueError, match="unknown snapshot mode"):
-            resolve_snapshot_mode("banana")
+    @requires_fork
+    def test_killed_sweep_leaves_no_orphans(self, tmp_path):
+        """SIGKILL the process blocked in ``prefix_map``: its server
+        and the in-flight continuation must follow it, not live on
+        (reparented) and fork the remaining points."""
+        pid_file = tmp_path / "pids"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", _SLEEPY_SWEEP, str(pid_file)], env=env
+        )
+        try:
+            assert _wait_for(pid_file)
+        finally:
+            sweep.kill()
+            sweep.wait()
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        try:
+            deadline = time.monotonic() + 10
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, pids))
+        finally:
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)
