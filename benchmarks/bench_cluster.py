@@ -19,10 +19,10 @@ The headline configurations feed the persistent ``BENCH_cluster.json``
 trajectory (same format and regression gate as ``BENCH_kernel.json``):
 the idle-heavy 8-node point (where window skipping dominates) and the
 saturated 8-node point (where delivery batching and per-node laziness
-carry the win).  ``--quick`` runs just those two configurations,
+carry the win).  ``--smoke`` runs just those two configurations and
 checks the >= 3x idle-heavy speedup bound and the signature
-cross-check, and gates against the committed trajectory -- the
-``cluster-perf-smoke`` CI job runs exactly that.
+cross-check; ``--check`` gates the idle-heavy adaptive entry against
+the committed trajectory -- the ``perf-gates`` CI job runs both.
 
 Each (nodes, utilization) case is an independent deterministic
 simulation, so the sweep fans out over ``--workers`` sweep processes
@@ -34,13 +34,7 @@ import hashlib
 import json
 from typing import Tuple
 
-from common import (
-    apply_bench_args,
-    bench_arg_parser,
-    cluster_trajectory_path,
-    publish,
-    sweep_map,
-)
+from common import apply_bench_args, bench_arg_parser, publish, sweep_map
 from repro.analysis import format_table
 from repro.net.cluster import SYNC_MODES
 from repro.perf.clusterload import (
@@ -50,13 +44,7 @@ from repro.perf.clusterload import (
     cluster_signatures,
     run_cluster_throughput,
 )
-from repro.perf.trajectory import (
-    RegressionError,
-    append_entry,
-    check_regression,
-    config_hash,
-    make_entry,
-)
+from repro.perf.trajectory import add_gate_args, check_and_append, make_entry
 
 #: The full sweep grid.
 SWEEP_NODES = (2, 4, 8)
@@ -66,7 +54,7 @@ SWEEP_UTILIZATIONS = (0.02, 0.3, 0.9)
 HEADLINE_IDLE = (8, 0.02)
 HEADLINE_SATURATED = (8, 0.9)
 
-#: The acceptance bound --quick enforces on the idle-heavy headline.
+#: The acceptance bound --smoke enforces on the idle-heavy headline.
 MIN_IDLE_SPEEDUP = 3.0
 
 
@@ -128,58 +116,29 @@ def sweep(cases):
 
 
 def _trajectory_entries(outcomes, label: str):
-    """Trajectory entries for the headline configurations."""
-    entries = []
+    """Trajectory entries for the headline configurations, keyed by
+    ``(nodes, utilization, sync)``."""
+    entries = {}
     for out in outcomes:
-        if (out["nodes"], out["utilization"]) not in (
-            HEADLINE_IDLE,
-            HEADLINE_SATURATED,
-        ):
+        case = (out["nodes"], out["utilization"])
+        if case not in (HEADLINE_IDLE, HEADLINE_SATURATED):
             continue
         for sync in SYNC_MODES:
-            config = cluster_config(
-                out["nodes"], out["utilization"], sync,
-                horizon_ns=CLUSTER_HORIZON_NS,
-            )
-            entries.append(
-                make_entry(
-                    f"{label}/{sync}",
-                    dict(out[sync]),
-                    config,
-                    signatures={"cluster": out["digest"]},
-                )
+            entries[(*case, sync)] = make_entry(
+                f"{label}/{sync}",
+                out[sync],
+                cluster_config(*case, sync, horizon_ns=CLUSTER_HORIZON_NS),
+                signatures={"cluster": out["digest"]},
             )
     return entries
 
 
 def main(argv=None) -> int:
     parser = bench_arg_parser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="headline configs only; assert the >=3x idle-heavy speedup, "
-             "signature identity, and the trajectory regression gate (CI)",
-    )
-    parser.add_argument(
-        "--label", default="bench-cluster",
-        help="label recorded on trajectory entries",
-    )
-    parser.add_argument(
-        "--append", metavar="PATH", nargs="?", const="", default=None,
-        help="append headline measurements to this trajectory "
-             "(default BENCH_cluster.json)",
-    )
-    parser.add_argument(
-        "--check", metavar="PATH", nargs="?", const="", default=None,
-        help="fail on >30%% adaptive-throughput regression vs this "
-             "trajectory's baseline (default BENCH_cluster.json)",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="allowed fractional throughput drop for --check",
-    )
+    add_gate_args(parser, "BENCH_cluster.json", "bench-cluster")
     args = apply_bench_args(parser.parse_args(argv))
 
-    if args.quick:
+    if args.smoke:
         cases = [HEADLINE_IDLE, HEADLINE_SATURATED]
     else:
         cases = [(n, u) for n in SWEEP_NODES for u in SWEEP_UTILIZATIONS]
@@ -214,54 +173,25 @@ def main(argv=None) -> int:
         )
 
     idle = next(
-        (o for o in outcomes
-         if (o["nodes"], o["utilization"]) == HEADLINE_IDLE),
-        None,
+        o for o in outcomes if (o["nodes"], o["utilization"]) == HEADLINE_IDLE
     )
-    if idle is not None:
-        speedup = (
-            idle["adaptive"]["throughput_sim_ns_per_s"]
-            / idle["lockstep"]["throughput_sim_ns_per_s"]
+    speedup = (
+        idle["adaptive"]["throughput_sim_ns_per_s"]
+        / idle["lockstep"]["throughput_sim_ns_per_s"]
+    )
+    if args.smoke and speedup < MIN_IDLE_SPEEDUP:
+        print(
+            f"FAIL: idle-heavy 8-node speedup {speedup:.2f}x "
+            f"< {MIN_IDLE_SPEEDUP:.1f}x bound"
         )
-        if args.quick and speedup < MIN_IDLE_SPEEDUP:
-            print(
-                f"FAIL: idle-heavy 8-node speedup {speedup:.2f}x "
-                f"< {MIN_IDLE_SPEEDUP:.1f}x bound"
-            )
-            failed = True
-        else:
-            print(f"idle-heavy 8-node speedup: {speedup:.2f}x vs lockstep")
+        failed = True
+    else:
+        print(f"idle-heavy 8-node speedup: {speedup:.2f}x vs lockstep")
 
-    check = args.check if args.check is not None else ("" if args.quick else None)
-    if check is not None and idle is not None:
-        path = check or cluster_trajectory_path()
-        current = idle["adaptive"]["throughput_sim_ns_per_s"]
-        fingerprint = config_hash(
-            cluster_config(*HEADLINE_IDLE, "adaptive",
-                           horizon_ns=CLUSTER_HORIZON_NS)
-        )
-        try:
-            baseline = check_regression(
-                path, current, fingerprint, args.max_regression
-            )
-        except RegressionError as err:
-            print(f"FAIL: {err}")
-            failed = True
-        else:
-            if baseline is None:
-                print(f"no comparable baseline in {path}; gate skipped")
-            else:
-                base = baseline["throughput_sim_ns_per_s"]
-                print(
-                    f"regression gate: {current / 1e9:.2f} Gns/s vs committed "
-                    f"{base / 1e9:.2f} Gns/s ({baseline['label']!r}) -- ok"
-                )
-
-    if args.append is not None:
-        path = args.append or cluster_trajectory_path()
-        for entry in _trajectory_entries(outcomes, args.label):
-            append_entry(path, entry)
-        print(f"appended headline entries to {path}")
+    entries = _trajectory_entries(outcomes, args.label)
+    gated = entries[(*HEADLINE_IDLE, "adaptive")]
+    if not check_and_append(args, gated, list(entries.values())):
+        failed = True
 
     return 1 if failed else 0
 

@@ -121,9 +121,6 @@ def sweep(rates, seeds, duration_ns, warmup_ns=0):
 def main(argv=None) -> int:
     parser = bench_arg_parser(description=__doc__)
     parser.add_argument(
-        "--smoke", action="store_true", help="tiny sweep for CI"
-    )
-    parser.add_argument(
         "--warmup-ms", type=int, default=0,
         help="fault-free warm-up before the storms arm; cases sharing "
              "a warm-up reuse one snapshotted prefix (default 0 = the "

@@ -8,22 +8,18 @@ scheduling (queue operations, selections, context switches).  The
 paper's claim translates to CSD-3 charging substantially less than
 EDF at moderate-to-large n with short periods.
 
-The same run doubles as the repository's canonical throughput
-measurement: a pooled :class:`repro.perf.counters.PerfReport` is
-appended to the committed perf trajectory (``BENCH_kernel.json``), so
-every benchmark run extends the performance history.
+The workload is the canonical throughput configuration; its timed,
+signed trajectory entries come from ``python -m repro.reproduce perf
+--check --append`` (``BENCH_kernel.json``), not from this benchmark.
 """
 
-from common import bench_record_mode, publish, trajectory_path
+from common import bench_record_mode, publish
 from repro.analysis import format_table
 from repro.core.overhead import OverheadModel
-from repro.perf.trajectory import append_entry, make_entry
 from repro.perf.workloads import (
     HORIZON_NS,
     min_overhead_splits,
     overhead_workload,
-    run_throughput,
-    throughput_config,
 )
 from repro.sim.kernelsim import simulate_workload
 from repro.timeunits import to_us
@@ -92,15 +88,3 @@ def test_scheduler_overhead_in_live_kernel(benchmark):
     assert reduction > 0.10
     # No policy may miss deadlines on this comfortably feasible set.
     assert all(misses == 0 for _, _, misses in results.values())
-
-    # Extend the perf trajectory with a properly timed measurement of
-    # the same configuration (the run above pays pytest-benchmark
-    # bookkeeping; run_throughput times each policy run alone).
-    report = run_throughput(mode, model=model)
-    entry = append_entry(
-        trajectory_path(),
-        make_entry("bench-kernel-overhead", report.as_dict(),
-                   throughput_config(mode)),
-    )
-    print(f"\ntrajectory += {entry['throughput_sim_ns_per_s']} sim-ns/s "
-          f"({entry['config_hash']})")

@@ -135,10 +135,6 @@ def sweep(drop_ps, seeds, duration_ns, warmup_ns=0):
 def main(argv=None) -> int:
     parser = bench_arg_parser(description=__doc__)
     parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny sweep for CI; asserts ratio 1.0 with retries at p<=0.1",
-    )
-    parser.add_argument(
         "--warmup-ms", type=int, default=0,
         help="loss-free warm-up before the wire faults arm; cases "
              "sharing a warm-up reuse one snapshotted prefix (default "

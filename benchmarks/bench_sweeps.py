@@ -18,15 +18,16 @@ The headline measurement (both sections combined: useful simulated ns
 delivered per wall-second through the snapshot path, and the speedup
 over cold) appends to the persistent ``BENCH_sweeps.json`` trajectory
 with the same config-hash regression gate as ``BENCH_kernel.json``.
-``--quick`` shrinks the grid, keeps the gate, and optionally enforces
-``--min-speedup`` -- the ``snapshot-smoke`` CI job runs exactly that
-(the bound is only enforced on hosts with >= 2 CPUs: a starved
-single-core runner measures scheduling noise, not the optimization).
+``--smoke`` shrinks the grid and ``--min-speedup`` enforces a speedup
+bound -- the ``perf-gates`` CI job runs both with ``--check`` (the
+bound is only enforced on hosts with >= 2 CPUs: a starved single-core
+runner measures scheduling noise, not the optimization).
 
-Timing methodology: the GC is disabled around each timed region.  The
-cold path runs every point serially in this process.  The snapshot
-path forks one server per prefix group (two per section), and each
-server forks its continuations as soon as its prefix is built, one at
+Timing methodology: each timed region runs under
+:func:`repro.perf.counters.timed` (GC parked).  The cold path runs
+every point serially in this process.  The snapshot path forks one
+server per prefix group (two per section), and each server forks its
+continuations as soon as its prefix is built, one at
 a time at the default ``--workers`` of 1, so the two groups run side
 by side.  The speedup therefore combines work reduction -- shared
 prefixes simulated once instead of once per point -- with up to
@@ -34,21 +35,16 @@ two-way overlap between groups; on a single core only the work
 reduction remains.
 """
 
-import gc
 import os
-import time
 
 import bench_faults
 import bench_net_faults
-from common import (
-    apply_bench_args,
-    bench_arg_parser,
-    publish,
-    sweeps_trajectory_path,
-)
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
+from repro.perf.counters import timed
 from repro.perf.snapshot import fork_available
 from repro.perf.sweeps import prefix_map
+from repro.perf.trajectory import add_gate_args, check_and_append, make_entry
 from repro.timeunits import ms, to_ms
 
 #: The canonical grids: (rates | drop_ps, seeds, duration, warm-up).
@@ -61,19 +57,6 @@ NET_FULL = ((0.05, 0.2), (1, 2), ms(20_000), ms(15_000))
 NET_QUICK = ((0.1,), (1, 2, 3), ms(8_000), ms(6_000))
 
 
-def _timed(fn):
-    """Run ``fn`` with the GC parked; return (result, wall seconds)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - start
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _section(name, plan, cases):
     """Time one sweep section cold and snapshotted; verify identity.
 
@@ -81,10 +64,10 @@ def _section(name, plan, cases):
     own prefix (what :func:`prefix_map` does for a group it cannot
     share), so the two timings differ only in prefix reuse.
     """
-    cold, cold_wall = _timed(
+    cold, cold_wall = timed(
         lambda: [cont(spec.build()) for spec, cont in map(plan, cases)]
     )
-    snap, snap_wall = _timed(lambda: prefix_map(plan, cases))
+    snap, snap_wall = timed(lambda: prefix_map(plan, cases))
     mismatches = [
         index for index, (a, b) in enumerate(zip(cold, snap)) if a != b
     ]
@@ -115,43 +98,17 @@ def run_sections(quick):
 def main(argv=None) -> int:
     parser = bench_arg_parser(description=__doc__)
     parser.add_argument(
-        "--quick", action="store_true",
-        help="shrunken grid: identity check, speedup, regression gate (CI)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="alias for --quick (the shared bench-runner flag)",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail when the combined snapshot speedup falls below this "
              "bound (enforced only on hosts with >= 2 CPUs)",
     )
-    parser.add_argument(
-        "--label", default="bench-sweeps",
-        help="label recorded on trajectory entries",
-    )
-    parser.add_argument(
-        "--append", metavar="PATH", nargs="?", const="", default=None,
-        help="append the headline measurement to this trajectory "
-             "(default BENCH_sweeps.json)",
-    )
-    parser.add_argument(
-        "--check", metavar="PATH", nargs="?", const="", default=None,
-        help="fail on >30%% snapshot-throughput regression vs this "
-             "trajectory's baseline (default BENCH_sweeps.json)",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="allowed fractional throughput drop for --check",
-    )
+    add_gate_args(parser, "BENCH_sweeps.json", "bench-sweeps")
     args = apply_bench_args(parser.parse_args(argv))
-    quick = args.quick or args.smoke
     # The trajectory config keeps its "mode" field so that committed
     # config hashes stay valid; without fork every point runs cold.
     mode = "fork" if fork_available() else "cold"
 
-    sections = run_sections(quick)
+    sections = run_sections(args.smoke)
 
     rows = []
     for sec in sections:
@@ -187,7 +144,7 @@ def main(argv=None) -> int:
     ]
     text = (
         f"Sweep snapshot speedup: mode={mode}, "
-        f"{'quick' if quick else 'full'} grid "
+        f"{'quick' if args.smoke else 'full'} grid "
         "(cold = build + warm-up + storm per point, serially; snapshot = "
         "shared warm-up simulated once per group, groups side by side, "
         "restored per point)\n"
@@ -236,17 +193,10 @@ def main(argv=None) -> int:
 
     # Trajectory: one headline entry; the config hash fingerprints the
     # grids and mechanism, so baselines only gate like measurements.
-    from repro.perf.trajectory import (
-        RegressionError,
-        append_entry,
-        check_regression,
-        config_hash,
-        make_entry,
-    )
-
+    # The smoke grid keeps its historical "quick" name so its hash holds.
     config = {
         "benchmark": "sweeps",
-        "grid": "quick" if quick else "full",
+        "grid": "quick" if args.smoke else "full",
         "mode": mode,
         "sections": [
             {"name": s["name"], "points": s["points"], "sim_ns": s["sim_ns"]}
@@ -274,31 +224,8 @@ def main(argv=None) -> int:
         },
     )
 
-    check = args.check if args.check is not None else ("" if quick else None)
-    if check is not None:
-        path = check or sweeps_trajectory_path()
-        try:
-            baseline = check_regression(
-                path, throughput, entry["config_hash"], args.max_regression
-            )
-        except RegressionError as err:
-            print(f"FAIL: {err}")
-            failed = True
-        else:
-            if baseline is None:
-                print(f"no comparable baseline in {path}; gate skipped")
-            else:
-                base = baseline["throughput_sim_ns_per_s"]
-                print(
-                    f"regression gate: {throughput / 1e6:.1f} Mns/s vs "
-                    f"committed {base / 1e6:.1f} Mns/s "
-                    f"({baseline['label']!r}) -- ok"
-                )
-
-    if args.append is not None:
-        path = args.append or sweeps_trajectory_path()
-        append_entry(path, entry)
-        print(f"appended headline entry to {path}")
+    if not check_and_append(args, entry):
+        failed = True
 
     return 1 if failed else 0
 

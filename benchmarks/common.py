@@ -7,8 +7,10 @@ survives pytest's capture) in addition to printing it.
 All benchmarks read their knobs from one place -- here -- either as
 environment variables (how the pytest-run benchmarks are configured)
 or through :func:`bench_arg_parser`, which gives standalone benchmark
-CLIs the same ``--out/--workers/--record/--obs`` flags and writes
-them back into the environment so the env-based getters agree.
+CLIs the same ``--out/--workers/--record/--obs/--smoke`` flags and
+writes them back into the environment so the env-based getters agree.
+The CLIs that measure a committed ``BENCH_*.json`` trajectory take
+their ``--check/--append`` flags from :mod:`repro.perf.trajectory`.
 
 Environment knobs:
 
@@ -23,15 +25,10 @@ Environment knobs:
   ``jobs-only``).
 * ``REPRO_BENCH_OUT`` -- output directory for rendered results
   (default ``benchmarks/results/``).
-* ``REPRO_BENCH_TRAJECTORY`` -- perf trajectory file live-kernel
-  benchmarks append to (default ``BENCH_kernel.json`` at the repo
-  root).
 * ``REPRO_BENCH_OBS`` -- observability mode for live-kernel runs
   (``counters`` or ``full``; default unset = observation off).
   Benchmarks that honor it can dump the metrics/trace artifacts via
   :func:`dump_obs_artifacts`.
-* ``REPRO_BENCH_SWEEPS_TRAJECTORY`` -- sweep-speedup trajectory file
-  (default ``BENCH_sweeps.json`` at the repo root).
 """
 
 from __future__ import annotations
@@ -45,18 +42,6 @@ from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
 from repro.sim.trace import RECORD_MODES
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: The committed perf trajectory lives at the repository root.
-TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_kernel.json"
-
-#: The committed cluster-simulation perf trajectory (same format,
-#: separate file: cluster throughput moves independently of the
-#: single-kernel hot path).
-CLUSTER_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_cluster.json"
-
-#: The committed sweep-speedup trajectory (cold vs snapshot wall clock
-#: on the canonical shared-prefix sweeps).
-SWEEPS_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_sweeps.json"
 
 #: Explicit registry of every benchmark: name -> invocation style.
 #: ``"cli"`` modules expose ``main(argv) -> int`` and are called
@@ -121,24 +106,6 @@ def bench_out_dir() -> Path:
     return Path(raw) if raw else RESULTS_DIR
 
 
-def trajectory_path() -> Path:
-    """The perf trajectory file benchmark runs append to."""
-    raw = os.environ.get("REPRO_BENCH_TRAJECTORY", "")
-    return Path(raw) if raw else TRAJECTORY_PATH
-
-
-def cluster_trajectory_path() -> Path:
-    """The cluster perf trajectory file (``BENCH_cluster.json``)."""
-    raw = os.environ.get("REPRO_BENCH_CLUSTER_TRAJECTORY", "")
-    return Path(raw) if raw else CLUSTER_TRAJECTORY_PATH
-
-
-def sweeps_trajectory_path() -> Path:
-    """The sweep-speedup trajectory file (``BENCH_sweeps.json``)."""
-    raw = os.environ.get("REPRO_BENCH_SWEEPS_TRAJECTORY", "")
-    return Path(raw) if raw else SWEEPS_TRAJECTORY_PATH
-
-
 def bench_obs_mode() -> Optional[str]:
     """Observability mode for live-kernel runs (None = off)."""
     from repro.obs.collector import OBS_MODES
@@ -181,7 +148,8 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
 
     Flags mirror the environment knobs; :func:`apply_bench_args` writes
     the parsed values back into the environment, so library code that
-    consults ``bench_workers()`` etc. sees the flags too.
+    consults ``bench_workers()`` etc. sees the flags too.  ``--smoke``
+    asks each benchmark for its shrunken CI pass.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
@@ -199,6 +167,9 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
     parser.add_argument(
         "--obs", choices=("counters", "full"), default=None,
         help="attach an observability collector to live-kernel runs",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true", help="shrunken pass for CI"
     )
     return parser
 

@@ -74,12 +74,9 @@ class Kernel:
         auto_parse_hints: Run the Section 6.2.1 code parser over every
             program at thread-creation time (the paper's compile-time
             pass).
-        record_segments: Keep full Gantt segments in the trace (turn
-            off for long runs to save memory).  Legacy switch:
-            ``False`` is shorthand for ``record="jobs-only"``.
-        record: Trace recording mode (``"full"``, ``"jobs-only"``, or
-            ``"off"``; see :mod:`repro.sim.trace`).  Overrides
-            ``record_segments`` when given.
+        record: Trace recording mode (``"full"``, the default,
+            ``"jobs-only"`` to save memory on long runs, or ``"off"``;
+            see :mod:`repro.sim.trace`).
         max_trace_events: Ring-buffer cap on the trace event log
             (``None`` = unbounded).
         stop_on_deadline_miss: Abort the run at the first deadline
@@ -95,10 +92,9 @@ class Kernel:
         scheduler: Optional[Scheduler] = None,
         sem_scheme: str = "emeralds",
         auto_parse_hints: bool = True,
-        record_segments: bool = True,
         stop_on_deadline_miss: bool = False,
         fault_policy: str = "kill",
-        record: Optional[str] = None,
+        record: str = "full",
         max_trace_events: Optional[int] = None,
     ):
         if sem_scheme not in ("emeralds", "standard"):
@@ -119,11 +115,7 @@ class Kernel:
 
         self.clock = VirtualClock()
         self.events = EventQueue()
-        self.trace = Trace(
-            record_segments=record_segments,
-            record=record,
-            max_events=max_trace_events,
-        )
+        self.trace = Trace(record=record, max_events=max_trace_events)
         self.interrupts = InterruptController(self)
         self.allocator = AddressSpaceAllocator()
 
@@ -1000,9 +992,9 @@ class Kernel:
         )
         obs = self.obs
         if obs is not None:
-            # Inlined obs.on_switch() (the reference implementation):
-            # a method call per context switch costs several percent
-            # of throughput, plain adds stay under the obs budget.
+            # The collector's per-switch counters, bumped inline: a
+            # method call per context switch costs several percent of
+            # throughput, plain adds stay under the obs budget.
             obs.switches += 1
             depth = self.events._live
             obs.queue_depth_sum += depth

@@ -19,12 +19,12 @@ answer cheaply:
 Hot-path discipline (the PR-3 rule): observation is **off by default**
 (``kernel.obs is None`` costs one attribute read and an ``is`` check
 at each hook point); when enabled in ``"counters"`` mode every
-callback performs plain integer adds only, and the hottest hook --
-the per-context-switch counters -- is *inlined* in the kernel's
-``_dispatch`` rather than called (a Python call per switch costs
-measurable throughput; :meth:`ObsCollector.on_switch` stays as the
-reference implementation).  Job completions are only counted live
-when the trace kept no record (``record="off"``); on recorded runs
+callback performs plain integer adds only, and the hottest update --
+the per-context-switch counters -- has no hook at all: the kernel's
+``_dispatch`` bumps them inline, the per-task ones on the TCB (a
+Python call per switch costs measurable throughput).  Job completions
+are only counted live when the trace kept no record
+(``record="off"``); on recorded runs
 :meth:`ObsCollector.as_registry` folds the trace's job records in
 post-hoc and the completion hot path is a two-comparison no-op.
 ``"full"`` mode additionally appends event records and feeds
@@ -126,8 +126,7 @@ class ObsCollector:
 
     __slots__ = (
         "mode", "full", "response_buckets", "kernel", "tasks", "sems",
-        "_block_since", "switches", "dispatch_counts", "preempt_counts",
-        "queue_depth_max", "queue_depth_sum",
+        "_block_since", "switches", "queue_depth_max", "queue_depth_sum",
         "pi_events", "blocking_intervals", "response_hists",
         "_registry_sources",
     )
@@ -149,14 +148,11 @@ class ObsCollector:
         self.sems: Dict[str, _SemStats] = {}
         #: Open blocking episodes: thread -> (sem, start, reason).
         self._block_since: Dict[str, Tuple[str, int, str]] = {}
-        #: Per-switch counters.  The kernel's ``_dispatch`` updates
-        #: these *inline* (plain dict/integer adds, no method call --
-        #: a call per context switch measurably costs throughput);
-        #: :meth:`on_switch` applies the identical updates for callers
-        #: outside that hot path.  Keep the two in sync.
+        #: Per-switch counters, updated inline by the kernel's
+        #: ``_dispatch`` (plain integer adds, no method call -- a call
+        #: per context switch measurably costs throughput).  Per-task
+        #: dispatch and preemption counts live on the TCBs.
         self.switches = 0
-        self.dispatch_counts: Dict[str, int] = {}
-        self.preempt_counts: Dict[str, int] = {}
         #: Queue depth is sampled once per switch, so ``switches`` is
         #: the sample count -- no separate samples counter to bump.
         self.queue_depth_max = 0
@@ -215,31 +211,6 @@ class ObsCollector:
             self.blocking_intervals.append(
                 BlockingInterval(sem, thread, start, now, reason)
             )
-
-    def on_switch(
-        self,
-        now: int,
-        old: Optional[str],
-        new: Optional[str],
-        preempted: bool,
-        queue_depth: int,
-    ) -> None:
-        """A context switch happened; count it and sample queue depth.
-
-        The kernel dispatcher inlines these updates instead of calling
-        this (see ``Kernel._dispatch``); this method exists for other
-        callers and as the reference for what the inlined block does.
-        """
-        self.switches += 1
-        if new is not None:
-            counts = self.dispatch_counts
-            counts[new] = counts.get(new, 0) + 1
-        if preempted and old is not None:
-            counts = self.preempt_counts
-            counts[old] = counts.get(old, 0) + 1
-        self.queue_depth_sum += queue_depth
-        if queue_depth > self.queue_depth_max:
-            self.queue_depth_max = queue_depth
 
     def on_job_completed(
         self, thread: str, release: int, completion: int, deadline: Optional[int]
@@ -308,20 +279,15 @@ class ObsCollector:
         """
         reg = MetricsRegistry()
         # The kernel dispatcher tallies per-task switches on the TCB
-        # (cheapest inline form); fold those into the name-keyed
-        # dicts :meth:`on_switch` maintains for other callers.
-        dispatches = dict(self.dispatch_counts)
-        preempts = dict(self.preempt_counts)
+        # (cheapest inline form).
+        dispatches: Dict[str, int] = {}
+        preempts: Dict[str, int] = {}
         if self.kernel is not None:
             for name, thread in self.kernel.threads.items():
                 if thread.obs_dispatches:
-                    dispatches[name] = (
-                        dispatches.get(name, 0) + thread.obs_dispatches
-                    )
+                    dispatches[name] = thread.obs_dispatches
                 if thread.obs_preemptions:
-                    preempts[name] = (
-                        preempts.get(name, 0) + thread.obs_preemptions
-                    )
+                    preempts[name] = thread.obs_preemptions
         # Completion stats: jobs counted live by on_job_completed plus
         # jobs the attached kernel's trace recorded -- the kernel only
         # calls the hook when the trace kept no record, so the two

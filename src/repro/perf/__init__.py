@@ -6,8 +6,9 @@ concern.  This package holds everything performance-related that is
 not the hot path itself:
 
 * :mod:`repro.perf.counters` -- lightweight run counters (events
-  popped, dispatches, context switches) and throughput reports
-  (sim-ns per wall-second);
+  popped, dispatches, context switches), throughput reports (sim-ns
+  per wall-second) and :func:`~repro.perf.counters.timed`, the one
+  GC-parked wall-clock timer;
 * :mod:`repro.perf.profiler` -- an opt-in ``cProfile`` hook, exposed
   via ``python -m repro.reproduce perf --profile``;
 * :mod:`repro.perf.sweeps` -- a ``multiprocessing`` sweep runner with
@@ -19,11 +20,13 @@ not the hot path itself:
   behind that planner: fork-based copy-on-write prefix servers,
   byte-identical to cold runs by construction;
 * :mod:`repro.perf.trajectory` -- the persistent machine-readable
-  perf history (``BENCH_kernel.json``) that makes regressions visible
-  across PRs;
+  perf histories (``BENCH_kernel.json``, ``BENCH_cluster.json``,
+  ``BENCH_sweeps.json``) and the one regression gate, with the
+  ``--check/--append`` flags every measuring CLI shares;
 * :mod:`repro.perf.workloads` -- the canonical throughput workload
   (the ``bench_kernel_overhead`` configuration) shared by the CLI,
-  the benchmarks, and CI.
+  the benchmarks, and CI; :mod:`repro.perf.clusterload` is its
+  ring-cluster analogue.
 """
 
 from repro.perf.counters import PerfReport, collect_report
@@ -37,8 +40,8 @@ from repro.perf.sweeps import (
 )
 from repro.perf.trajectory import (
     append_entry,
-    check_regression,
     config_hash,
+    gate,
     load_trajectory,
 )
 
@@ -53,7 +56,7 @@ __all__ = [
     "SnapshotError",
     "SnapshotServer",
     "append_entry",
-    "check_regression",
     "config_hash",
+    "gate",
     "load_trajectory",
 ]

@@ -3,7 +3,7 @@
 The cluster analogue of :mod:`repro.perf.workloads`: one parameterized
 configuration -- a ring of periodic senders over the 1 Mbit/s fieldbus
 -- measured identically by ``benchmarks/bench_cluster.py`` and the CI
-``cluster-perf-smoke`` job, so every entry in ``BENCH_cluster.json`` is
+``perf-gates`` job, so every entry in ``BENCH_cluster.json`` is
 comparable.
 
 The ring topology is deliberately filter-heavy: node *i* broadcasts
@@ -32,7 +32,8 @@ the committed saturated ``BENCH_cluster.json`` headline is keyed on
 Two measurements per configuration, as in the kernel harness:
 
 * **speed** (:func:`run_cluster_throughput`): wall time and sim-ns
-  per wall-second at ``jobs-only`` recording, GC suspended;
+  per wall-second at ``jobs-only`` recording, timed by
+  :func:`repro.perf.counters.timed`;
 * **behavior** (:func:`cluster_signatures`): per-node sha256
   signatures of the *full* traces plus the delivery timelines and bus
   counters.  Adaptive synchronization is only correct if these are
@@ -41,8 +42,6 @@ Two measurements per configuration, as in the kernel harness:
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict
 
 from repro.core.edf import EDFScheduler
@@ -52,6 +51,7 @@ from repro.kernel.program import Call, Compute, Program, Wait
 from repro.net.cluster import Cluster
 from repro.net.fieldbus import Fieldbus
 from repro.net.node import net_send
+from repro.perf.counters import timed
 from repro.timeunits import ms, us
 
 __all__ = [
@@ -226,24 +226,11 @@ def run_cluster_throughput(
     horizon_ns: int = CLUSTER_HORIZON_NS,
     app_load: str = "auto",
 ) -> Dict:
-    """One timed run; returns a trajectory-ready report dict.
-
-    Same timing discipline as the kernel harness: full collection,
-    collector suspended across the timed section, restored after.
-    """
+    """One timed run; returns a trajectory-ready report dict."""
     cluster = build_ring_cluster(
         nodes, utilization, sync, record, app_load=app_load
     )
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        cluster.run_until(horizon_ns)
-        wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    _, wall = timed(lambda: cluster.run_until(horizon_ns))
     return {
         "sim_ns": horizon_ns,
         "wall_s": wall,

@@ -5,18 +5,44 @@ dispatches, syscalls -- plain integer increments on the hot path);
 this module turns those raw counters plus a wall-clock measurement
 into a :class:`PerfReport` with derived rates, most importantly the
 headline **sim-ns per wall-second** throughput that the perf
-trajectory (``BENCH_kernel.json``) tracks across PRs.
+trajectory (``BENCH_kernel.json``) tracks across PRs.  :func:`timed`
+is the one wall-clock timer every throughput measurement uses.
 """
 
 from __future__ import annotations
 
+import gc
+import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Tuple, TypeVar
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
 
-__all__ = ["PerfReport", "collect_report"]
+__all__ = ["PerfReport", "collect_report", "timed"]
+
+T = TypeVar("T")
+
+
+def timed(fn: Callable[[], T]) -> Tuple[T, float]:
+    """Run ``fn()`` and return ``(result, wall seconds)``.
+
+    The same discipline as the stdlib ``timeit`` template: a full
+    collection first, then the collector parked across the timed call
+    (collector pauses land unpredictably inside a run and were measured
+    to swing per-run throughput by over 20%).  The collector state is
+    restored afterwards either way.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

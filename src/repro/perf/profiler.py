@@ -12,10 +12,9 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from contextlib import contextmanager
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Tuple
 
-__all__ = ["profile_call", "profiled"]
+__all__ = ["profile_call"]
 
 
 def stats_text(profile: cProfile.Profile, sort: str = "cumulative", limit: int = 25) -> str:
@@ -45,17 +44,3 @@ def profile_call(
     finally:
         profile.disable()
     return result, stats_text(profile, sort=sort, limit=limit)
-
-
-@contextmanager
-def profiled(sort: str = "cumulative", limit: int = 25) -> Iterator[list]:
-    """Context manager variant: yields a one-element list that holds
-    the stats text after the block exits."""
-    holder: list = []
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield holder
-    finally:
-        profile.disable()
-        holder.append(stats_text(profile, sort=sort, limit=limit))

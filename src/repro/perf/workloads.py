@@ -3,7 +3,7 @@
 One fixed configuration -- the ``bench_kernel_overhead`` workload
 (n = 20, short periods, EDF / RM / CSD-3, 2 s of virtual time) -- is
 measured identically by the ``python -m repro.reproduce perf`` CLI,
-the benchmark suite, and the CI perf-smoke job, so every entry in
+the benchmark suite, and the CI perf-gates job, so every entry in
 ``BENCH_kernel.json`` is comparable.
 
 The harness measures two things about every code change:
@@ -17,8 +17,6 @@ The harness measures two things about every code change:
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.allocation import balanced_splits
@@ -28,7 +26,7 @@ from repro.core.schedulability import (
     csd_overhead_per_period,
     csd_schedulable,
 )
-from repro.perf.counters import PerfReport, collect_report, merge_reports
+from repro.perf.counters import PerfReport, collect_report, merge_reports, timed
 from repro.sim.kernelsim import simulate_workload
 from repro.sim.workload import generate_workload
 from repro.timeunits import ms
@@ -104,12 +102,7 @@ def run_throughput(
 ) -> PerfReport:
     """Run the canonical workload and report pooled counters/rates.
 
-    Timed sections run with the garbage collector suspended (after a
-    full collection), the same discipline as the stdlib ``timeit``
-    template: collector pauses land unpredictably inside the run and
-    were measured to swing per-run throughput by over 20%.  The
-    collector state is restored afterwards either way.
-
+    Each policy run is timed on its own by :func:`timed` (GC parked).
     ``obs`` attaches an observability collector (``"counters"`` or
     ``"full"``) inside the timed section -- how the obs-smoke overhead
     bound is measured.
@@ -118,19 +111,12 @@ def run_throughput(
     reports = []
     for _ in range(max(1, repeats)):
         for workload, policy, splits in _policy_runs(model):
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                kernel, _trace = simulate_workload(
+            (kernel, _trace), wall = timed(
+                lambda: simulate_workload(
                     workload, policy, duration=HORIZON_NS, model=model,
                     splits=splits, record=mode, obs=obs,
                 )
-                wall = time.perf_counter() - start
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            )
             reports.append(collect_report(kernel, wall, label=policy))
     return merge_reports(label, reports)
 

@@ -23,7 +23,7 @@ membership, replica freshness)::
 The ``perf`` subcommand measures simulator throughput on the canonical
 workload and maintains the persistent perf trajectory::
 
-    python -m repro.reproduce perf --append BENCH_kernel.json --check BENCH_kernel.json
+    python -m repro.reproduce perf --check --append
 
 The ``bench`` subcommand runs the benchmark suite (or a selection)::
 
@@ -505,18 +505,11 @@ def run_perf(argv: List[str]) -> int:
 
     Measures the ``bench_kernel_overhead`` workload (EDF / RM / CSD-3,
     2 s of virtual time each), prints the counter report and the
-    full-mode trace signatures, and optionally appends to / checks
-    against the persistent perf trajectory (``BENCH_kernel.json``).
+    full-mode trace signatures, and optionally gates against / appends
+    to the persistent perf trajectory (``BENCH_kernel.json``).
     """
     from repro.perf.profiler import profile_call
-    from repro.perf.trajectory import (
-        DEFAULT_MAX_REGRESSION,
-        RegressionError,
-        append_entry,
-        check_regression,
-        config_hash,
-        make_entry,
-    )
+    from repro.perf.trajectory import add_gate_args, check_and_append, make_entry
     from repro.perf.workloads import (
         full_signatures,
         run_throughput,
@@ -537,31 +530,19 @@ def run_perf(argv: List[str]) -> int:
         help="pooled repetitions of the three policy runs",
     )
     parser.add_argument(
-        "--label", default="perf-cli", help="label recorded in the entry"
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="also cProfile the run and print the hottest functions",
-    )
-    parser.add_argument(
-        "--append", metavar="PATH", default=None,
-        help="append the measurement to this trajectory file",
-    )
-    parser.add_argument(
-        "--check", metavar="PATH", default=None,
-        help="fail when throughput regressed vs this trajectory's baseline",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=DEFAULT_MAX_REGRESSION,
-        help="allowed fractional drop below baseline (default 0.30)",
     )
     parser.add_argument(
         "--no-signatures", action="store_true",
         help="skip the full-mode signature cross-check runs",
     )
+    add_gate_args(parser, "BENCH_kernel.json", "perf-cli")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error(f"--repeats must be positive (got {args.repeats})")
+    if args.no_signatures and args.append is not None:
+        parser.error("--append records signatures; drop --no-signatures")
 
     report = run_throughput(args.mode, repeats=args.repeats, label=args.label)
     print(report.render())
@@ -578,32 +559,10 @@ def run_perf(argv: List[str]) -> int:
         print()
         print(text)
 
-    config = throughput_config(args.mode)
-    if args.check is not None:
-        try:
-            baseline = check_regression(
-                args.check,
-                report.throughput_sim_ns_per_s,
-                config_hash(config),
-                max_regression=args.max_regression,
-            )
-        except RegressionError as exc:
-            print(f"REGRESSION: {exc}", file=sys.stderr)
-            return 1
-        if baseline is None:
-            print(f"no comparable baseline in {args.check}; check skipped")
-        else:
-            base = float(baseline["throughput_sim_ns_per_s"])
-            delta = 100 * (report.throughput_sim_ns_per_s - base) / base
-            print(
-                f"vs baseline {baseline.get('label')!r} "
-                f"({base / 1e9:.2f}e9): {delta:+.1f}%"
-            )
-    if args.append is not None:
-        entry = make_entry(args.label, report.as_dict(), config, signatures)
-        append_entry(args.append, entry)
-        print(f"appended to {args.append} (config {entry['config_hash']})")
-    return 0
+    entry = make_entry(
+        args.label, report.as_dict(), throughput_config(args.mode), signatures
+    )
+    return 0 if check_and_append(args, entry) else 1
 
 
 def run_bench(argv: List[str]) -> int:
@@ -611,39 +570,22 @@ def run_bench(argv: List[str]) -> int:
 
     ``bench all`` runs every benchmark; ``bench fig3 kernel_overhead``
     runs a selection (names map to ``benchmarks/bench_<name>.py``).
-    The shared ``--seed/--out/--workers/--record`` flags configure the
-    runs via the environment knobs in ``benchmarks/common.py``; how
-    each benchmark is invoked comes from the explicit ``BENCHMARKS``
-    registry there.
+    The shared ``--out/--workers/--record/--obs/--smoke`` flags of
+    ``benchmarks/common.py`` configure the runs; how each benchmark is
+    invoked comes from the explicit ``BENCHMARKS`` registry there.
     """
     from pathlib import Path
 
     bench_dir = Path(__file__).parent.parent.parent / "benchmarks"
     sys.path.insert(0, str(bench_dir))
-    from common import BENCHMARKS, apply_bench_args  # noqa: E402
+    from common import BENCHMARKS, apply_bench_args, bench_arg_parser  # noqa: E402
 
     available = sorted(BENCHMARKS)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce bench",
-        description="Run the benchmark suite (or a selection).",
-    )
+    parser = bench_arg_parser("Run the benchmark suite (or a selection).")
+    parser.prog = "python -m repro.reproduce bench"
     parser.add_argument(
         "names", nargs="+",
         help=f"benchmarks to run, or 'all'; available: {', '.join(available)}",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--record", choices=("full", "jobs-only", "off"), default=None
-    )
-    parser.add_argument(
-        "--obs", choices=("counters", "full"), default=None,
-        help="attach an observability collector to live-kernel runs",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="pass --smoke to CLI-style benchmarks (e.g. faults, obs)",
     )
     args = parser.parse_args(argv)
 

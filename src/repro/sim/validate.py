@@ -97,7 +97,7 @@ def validate_breakdown(
         duration=horizon,
         model=model,
         splits=result.splits,
-        record_segments=False,
+        record="jobs-only",
         stop_on_deadline_miss=True,
     )
     violations = len(trace.deadline_violations(kernel.now))

@@ -187,18 +187,6 @@ class TestCollector:
         by_task = {s["labels"]["task"]: s["value"] for s in series}
         assert by_task["a"] == 2 and by_task["b"] == 2 and by_task["c"] == 2
 
-    def test_on_switch_reference_matches_inlined_counters(self):
-        # The kernel inlines on_switch; the method must stay
-        # equivalent for callers outside the dispatcher.
-        collector = ObsCollector()
-        collector.on_switch(0, None, "a", False, 3)
-        collector.on_switch(5, "a", "b", True, 5)
-        assert collector.switches == 2
-        assert collector.dispatch_counts == {"a": 1, "b": 1}
-        assert collector.preempt_counts == {"a": 1}
-        assert collector.queue_depth_max == 5
-        assert collector.queue_depth_sum == 8
-
 
 class TestDeterminism:
     def test_fingerprint_stable_across_runs(self):

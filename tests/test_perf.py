@@ -8,19 +8,21 @@ bit-identical to serial ones, and the trajectory must catch
 regressions against the committed baseline.
 """
 
+import argparse
 import json
 
 import pytest
 
 from repro.core.overhead import OverheadModel
 from repro.perf.counters import PerfReport, collect_report, merge_reports
-from repro.perf.profiler import profile_call, profiled
+from repro.perf.profiler import profile_call
 from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
 from repro.perf.trajectory import (
     RegressionError,
     append_entry,
-    check_regression,
+    check_and_append,
     config_hash,
+    gate,
     latest_entry,
     load_trajectory,
     make_entry,
@@ -171,13 +173,13 @@ def test_figure_series_parallel_identical_to_serial():
 # ----------------------------------------------------------------------
 # trajectory
 # ----------------------------------------------------------------------
-def _entry(label, throughput, config):
+def _entry(label, throughput, config, signatures=None):
     report = {
         "sim_ns": 1000,
         "wall_s": 0.5,
         "throughput_sim_ns_per_s": throughput,
     }
-    return make_entry(label, report, config)
+    return make_entry(label, report, config, signatures)
 
 
 def test_trajectory_append_load_latest(tmp_path):
@@ -197,23 +199,67 @@ def test_trajectory_append_load_latest(tmp_path):
     assert isinstance(json.loads(path.read_text()), list)
 
 
-def test_check_regression_gate(tmp_path):
+def test_gate_compares_against_the_last_same_config_entry(tmp_path):
     path = tmp_path / "traj.json"
     config = {"workload": "w"}
-    digest = config_hash(config)
-    # No baseline yet: the check is a no-op.
-    assert check_regression(path, 100.0, digest) is None
+    append_entry(path, _entry("old", 1000.0, config))
     append_entry(path, _entry("base", 100.0, config))
-    # Within the allowed drop: returns the baseline it compared against.
-    baseline = check_regression(path, 80.0, digest, max_regression=0.30)
-    assert baseline["label"] == "base"
-    # Faster is always fine.
-    assert check_regression(path, 250.0, digest)["label"] == "base"
+    append_entry(path, _entry("other", 1.0, {"workload": "different"}))
+    # Within the allowed drop, and faster: both pass against "base".
+    for throughput in (80.0, 250.0):
+        line = gate(path, _entry("now", throughput, config), max_regression=0.30)
+        assert line.startswith("regression gate: ")
+        assert line.endswith("('base') -- ok")
     # Below the floor: hard failure.
-    with pytest.raises(RegressionError):
-        check_regression(path, 60.0, digest, max_regression=0.30)
-    # A different configuration is never compared.
-    assert check_regression(path, 1.0, config_hash({"other": 1})) is None
+    with pytest.raises(RegressionError, match="below the floor"):
+        gate(path, _entry("now", 60.0, config), max_regression=0.30)
+
+
+def test_gate_fails_without_a_same_config_entry(tmp_path):
+    path = tmp_path / "traj.json"
+    with pytest.raises(RegressionError, match="no entry"):
+        gate(path, _entry("now", 100.0, {"workload": "w"}))
+    append_entry(path, _entry("base", 100.0, {"workload": "w"}))
+    with pytest.raises(RegressionError, match="no entry"):
+        gate(path, _entry("now", 100.0, {"other": 1}))
+
+
+def test_gate_fails_when_signatures_move(tmp_path):
+    path = tmp_path / "traj.json"
+    config = {"workload": "w"}
+    signed = {"edf": "aa", "rm": "bb"}
+    append_entry(path, _entry("base", 100.0, config, signed))
+    # Equal signatures pass and are reported; so does an unsigned entry.
+    assert "2 signature(s) equal" in gate(path, _entry("now", 100.0, config, signed))
+    assert gate(path, _entry("now", 100.0, config)).endswith("-- ok")
+    with pytest.raises(RegressionError, match="signatures moved vs 'base': rm"):
+        gate(path, _entry("now", 1e9, config, {"edf": "aa", "rm": "XX"}))
+
+
+def test_check_and_append_appends_only_after_a_passing_gate(tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    config = {"workload": "w"}
+    args = argparse.Namespace(
+        check=str(path), append=str(path), max_regression=0.30, label="now"
+    )
+    assert not check_and_append(args, _entry("now", 100.0, config))
+    assert load_trajectory(path) == []
+    args.check = None
+    assert check_and_append(args, _entry("first", 100.0, config))
+    args.check = str(path)
+    assert check_and_append(args, _entry("second", 90.0, config))
+    assert [e["label"] for e in load_trajectory(path)] == ["first", "second"]
+    out = capsys.readouterr().out
+    assert "FAIL: no entry" in out and "('first') -- ok" in out
+
+
+def test_make_entry_envelope_wins_over_report_keys():
+    report = {"label": "report", "config_hash": "x", "sim_ns": 5}
+    entry = make_entry("envelope", report, {"a": 1}, timestamp="then")
+    assert entry["label"] == "envelope"
+    assert entry["config_hash"] == config_hash({"a": 1})
+    assert entry["timestamp"] != "then"
+    assert entry["sim_ns"] == 5
 
 
 def test_config_hash_canonical():
@@ -259,12 +305,6 @@ def test_profile_call_returns_result_and_stats():
     assert "function calls" in text
 
 
-def test_profiled_context_manager():
-    with profiled(limit=5) as holder:
-        _square(3)
-    assert holder and "function calls" in holder[0]
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -273,21 +313,34 @@ def test_perf_cli_append_and_check(tmp_path, capsys):
     from repro.reproduce import main
 
     traj = tmp_path / "traj.json"
-    rc = main(["perf", "--no-signatures", "--append", str(traj),
-               "--check", str(traj)])
+    # Nothing to compare against yet: the gate fails.
+    rc = main(["perf", "--no-signatures", "--check", str(traj)])
+    assert rc == 1
+    assert "FAIL: no entry" in capsys.readouterr().out
+
+    rc = main(["perf", "--append", str(traj)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "throughput:" in out
-    assert "no comparable baseline" in out
     entries = load_trajectory(traj)
     assert len(entries) == 1
     assert entries[0]["label"] == "perf-cli"
     assert entries[0]["throughput_sim_ns_per_s"] > 0
+    assert set(entries[0]["signatures_full"]) == {"edf", "rm", "csd-3"}
 
     # Second run now has a baseline with the same config hash.
-    rc = main(["perf", "--no-signatures", "--check", str(traj)])
+    rc = main(["perf", "--check", str(traj)])
     assert rc == 0
-    assert "vs baseline 'perf-cli'" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3 signature(s) equal ('perf-cli') -- ok" in out
+
+
+def test_perf_cli_append_requires_signatures(tmp_path):
+    from repro.reproduce import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["perf", "--no-signatures", "--append", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
 
 
 def test_perf_cli_regression_failure(tmp_path, capsys):
@@ -301,4 +354,4 @@ def test_perf_cli_regression_failure(tmp_path, capsys):
     )
     rc = main(["perf", "--no-signatures", "--check", str(traj)])
     assert rc == 1
-    assert "REGRESSION" in capsys.readouterr().err
+    assert "FAIL: throughput" in capsys.readouterr().out

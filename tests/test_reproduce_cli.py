@@ -138,3 +138,33 @@ def test_every_benchmark_file_is_registered():
         assert set(common.BENCHMARKS.values()) <= {"cli", "pytest"}
     finally:
         sys.path.remove(str(bench_dir))
+
+
+def test_every_cli_benchmark_accepts_smoke(monkeypatch):
+    """``reproduce bench --smoke`` passes ``--smoke`` to every CLI
+    benchmark, so each must parse it (the flag lives once, in
+    ``bench_arg_parser``)."""
+    import importlib
+    from pathlib import Path
+
+    class Parsed(Exception):
+        pass
+
+    seen = []
+
+    def capture(args):
+        seen.append(args)
+        raise Parsed
+
+    bench_dir = Path(reproduce.__file__).parent.parent.parent / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    import common
+
+    for name, style in common.BENCHMARKS.items():
+        if style != "cli":
+            continue
+        module = importlib.import_module(f"bench_{name}")
+        monkeypatch.setattr(module, "apply_bench_args", capture)
+        with pytest.raises(Parsed):
+            module.main(["--smoke"])
+        assert seen.pop().smoke, name
