@@ -21,8 +21,7 @@ Environment knobs:
 * ``REPRO_BENCH_WORKERS`` -- worker processes for parallel sweeps
   (default 1 = serial; 0 = one per CPU).
 * ``REPRO_BENCH_RECORD`` -- trace recording mode for live-kernel
-  benchmarks (``full``, ``jobs-only`` or ``off``; default
-  ``jobs-only``).
+  benchmarks (``full`` or ``jobs-only``; default ``jobs-only``).
 * ``REPRO_BENCH_OUT`` -- output directory for rendered results
   (default ``benchmarks/results/``).
 * ``REPRO_BENCH_OBS`` -- observability mode for live-kernel runs

@@ -2,21 +2,17 @@
 
 from repro.analysis.metrics import (
     CpuBreakdown,
-    ResponseStats,
     cpu_breakdown,
     miss_ratio,
     recovery_time_ns,
-    response_stats,
 )
 from repro.analysis.tables import ascii_series, format_table
 
 __all__ = [
     "CpuBreakdown",
-    "ResponseStats",
     "ascii_series",
     "cpu_breakdown",
     "format_table",
     "miss_ratio",
     "recovery_time_ns",
-    "response_stats",
 ]

@@ -1,9 +1,12 @@
-"""Trace metrics: response-time statistics, miss ratios, overhead shares.
+"""Trace metrics: miss ratios, recovery time, overhead shares.
 
 Post-processing helpers that turn a :class:`~repro.sim.trace.Trace`
-into the quantities real-time evaluations report: per-task worst/mean
-response times, deadline-miss ratios, and the breakdown of CPU time
-into application work, kernel overhead (by category), and idle.
+into the quantities real-time evaluations report: deadline-miss
+ratios, post-fault recovery time, and the breakdown of CPU time into
+application work, kernel overhead (by category), and idle.  Per-task
+response-time summaries have one home,
+:func:`repro.obs.analyzers.response_percentiles` (nearest-rank
+percentiles over the trace's job records).
 """
 
 from __future__ import annotations
@@ -14,50 +17,11 @@ from typing import Dict, Optional
 from repro.sim.trace import IDLE, KERNEL, Trace
 
 __all__ = [
-    "ResponseStats",
     "CpuBreakdown",
-    "response_stats",
     "cpu_breakdown",
     "miss_ratio",
     "recovery_time_ns",
 ]
-
-
-@dataclass(frozen=True)
-class ResponseStats:
-    """Response-time statistics of one thread's completed jobs (ns)."""
-
-    thread: str
-    jobs: int
-    completed: int
-    minimum: Optional[int]
-    mean: Optional[float]
-    maximum: Optional[int]
-    p99: Optional[int]
-
-    @property
-    def completion_ratio(self) -> float:
-        return self.completed / self.jobs if self.jobs else 0.0
-
-
-def response_stats(trace: Trace, thread: str) -> ResponseStats:
-    """Summarize the response times of ``thread``'s jobs."""
-    jobs = trace.jobs_of(thread)
-    responses = sorted(
-        j.response_time for j in jobs if j.response_time is not None
-    )
-    if not responses:
-        return ResponseStats(thread, len(jobs), 0, None, None, None, None)
-    index_99 = min(len(responses) - 1, round(0.99 * (len(responses) - 1)))
-    return ResponseStats(
-        thread=thread,
-        jobs=len(jobs),
-        completed=len(responses),
-        minimum=responses[0],
-        mean=sum(responses) / len(responses),
-        maximum=responses[-1],
-        p99=responses[index_99],
-    )
 
 
 def miss_ratio(trace: Trace, now: int, thread: Optional[str] = None) -> float:

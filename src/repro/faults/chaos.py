@@ -211,7 +211,7 @@ def chaos_continue(
         faults_injected=dict(injector.injected),
         miss_ratio=miss_ratio(trace, kernel.now),
         service_ratio=service,
-        jobs_aborted=sum(t.jobs_aborted for t in kernel.threads.values()),
+        jobs_aborted=sum(1 for j in trace.jobs if j.aborted),
         threads_dead=tuple(
             sorted(t.name for t in kernel.threads.values() if t.dead)
         ),
@@ -531,7 +531,7 @@ def net_chaos_continue(
         rebroadcasts=channel.resync_broadcasts,
         worst_staleness_ns=worst_staleness,
         worst_latency_ns=worst_latency,
-        membership_changes=monitor.changes if monitor is not None else 0,
+        membership_changes=len(monitor.events) if monitor is not None else 0,
         membership_events=membership_events,
         signature=hashlib.sha256(blob.encode()).hexdigest(),
     )

@@ -74,9 +74,9 @@ class Kernel:
         auto_parse_hints: Run the Section 6.2.1 code parser over every
             program at thread-creation time (the paper's compile-time
             pass).
-        record: Trace recording mode (``"full"``, the default,
-            ``"jobs-only"`` to save memory on long runs, or ``"off"``;
-            see :mod:`repro.sim.trace`).
+        record: Trace recording mode (``"full"``, the default, or
+            ``"jobs-only"`` to save memory on long runs; see
+            :mod:`repro.sim.trace`).
         max_trace_events: Ring-buffer cap on the trace event log
             (``None`` = unbounded).
         stop_on_deadline_miss: Abort the run at the first deadline
@@ -149,8 +149,6 @@ class Kernel:
         self.syscall_count = 0
         #: Engine events fired (releases, interrupts, timers, checks).
         self.events_popped = 0
-        #: Scheduler invocations through the dispatcher.
-        self.dispatch_count = 0
         #: Exact-class dispatch table for the op interpreter (bound
         #: methods; built once per kernel, avoids the isinstance chain
         #: on every kernel op).
@@ -694,12 +692,7 @@ class Kernel:
         rejoin the release stream after an exponential back-off."""
         thread.restart_count += 1
         backoff = thread.restart_backoff_ns * (2 ** (thread.restart_count - 1))
-        record = self.trace.job_aborted(thread.name, thread.job_no, self.now)
-        if record is not None:
-            thread.jobs_aborted += 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_job_aborted(thread.name)
+        self.trace.job_aborted(thread.name, thread.job_no, self.now)
         self._detach_from_waits(thread)
         if thread.ready:
             cost = self.scheduler.on_block(thread)
@@ -763,12 +756,7 @@ class Kernel:
     def _abort_job(self, thread: Thread) -> None:
         """Abandon the current job: close its record (no completion),
         then retire the thread exactly like a completion would."""
-        record = self.trace.job_aborted(thread.name, thread.job_no, self.now)
-        if record is not None:
-            thread.jobs_aborted += 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_job_aborted(thread.name)
+        self.trace.job_aborted(thread.name, thread.job_no, self.now)
         thread.op_started = False
         thread.read_token = None
         self._retire_job(thread)
@@ -849,7 +837,7 @@ class Kernel:
         if not self._miss_handlers and not self.stop_on_deadline_miss:
             return
         handler = self._miss_handlers.get(thread.name)
-        if record is None or record.deadline is None:
+        if record.deadline is None:
             return
         if handler is None and not self.stop_on_deadline_miss:
             return
@@ -871,23 +859,9 @@ class Kernel:
         self.schedule_event(record.deadline, check, f"dl:{thread.name}")
 
     def _complete_job(self, thread: Thread) -> None:
-        thread.completed_jobs += 1
         record = self.trace.job_completed(
             thread.name, thread.job_no, self.clock.now
         )
-        obs = self.obs
-        if obs is not None and record is None:
-            # Jobs the trace recorded are folded in post-hoc by
-            # ObsCollector.as_registry(); only count live (reading the
-            # TCB) when recording is "off" and there is no record --
-            # the completion path stays a two-comparison no-op on
-            # recorded runs.
-            obs.on_job_completed(
-                thread.name,
-                thread.release_time,
-                self.clock.now,
-                thread.abs_deadline,
-            )
         if (
             self.stop_on_deadline_miss
             and record is not None
@@ -943,7 +917,6 @@ class Kernel:
     def _dispatch(self) -> None:
         """Run the scheduler (charging ``t_s``) and switch if needed."""
         self._need_resched = False
-        self.dispatch_count += 1
         # Inlined scheduler.select() (the stats wrapper): one frame per
         # dispatch, and _dispatch runs twice per job.
         sched = self.scheduler

@@ -84,7 +84,6 @@ class Thread(Schedulable):
         "inbox",
         "last_received",
         "last_read",
-        "completed_jobs",
         "obs_dispatches",
         "obs_preemptions",
         "pi_donor_of",
@@ -100,7 +99,6 @@ class Thread(Schedulable):
         "budget_action",
         "budget_fired",
         "job_exec_ns",
-        "jobs_aborted",
         "miss_count",
         "max_restarts",
         "restart_backoff_ns",
@@ -178,7 +176,6 @@ class Thread(Schedulable):
         self.last_received: Optional[object] = None
         #: Value of the last completed StateRead.
         self.last_read: Optional[object] = None
-        self.completed_jobs = 0
         #: Dispatch/preemption tallies, bumped by the dispatcher only
         #: while an observability collector is attached (TCB integer
         #: adds are the cheapest place to count per-task switches).
@@ -218,9 +215,8 @@ class Thread(Schedulable):
         self.budget_fired = False
         #: Execution time consumed by the current job (ns).
         self.job_exec_ns = 0
-        #: Jobs abandoned by budget enforcement, crashes, or restarts.
-        self.jobs_aborted = 0
-        #: Deadline misses detected at miss time (armed checks).
+        #: Deadline misses detected at miss time (armed checks; the
+        #: trace's job records cannot say when a miss was noticed).
         self.miss_count = 0
         #: Restart policy: ``None`` means a crash kills the thread for
         #: good; an integer bounds how many restarts are granted.

@@ -446,27 +446,6 @@ class Cluster:
         """Per-node :class:`~repro.sim.trace.Trace` objects."""
         return {name: kernel.trace for name, kernel in self.nodes.items()}
 
-    def node_collectors(self) -> Dict[str, Any]:
-        """Per-node attached :class:`~repro.obs.collector.ObsCollector`
-        (``None`` for nodes without one)."""
-        return {name: kernel.obs for name, kernel in self.nodes.items()}
-
-    def rx_logs(self) -> Dict[str, Optional[list]]:
-        """Per-node accepted-delivery logs (``NetInterface.rx_log``;
-        ``None`` for interfaces that never enabled it)."""
-        return {
-            name: list(iface.rx_log) if iface.rx_log is not None else None
-            for name, iface in self.interfaces.items()
-        }
-
-    def node_registries(self) -> Dict[str, Any]:
-        """Per-node metrics registries (``None`` for nodes without a
-        collector)."""
-        return {
-            name: kernel.obs.as_registry() if kernel.obs is not None else None
-            for name, kernel in self.nodes.items()
-        }
-
     def total_events_popped(self) -> int:
         """Kernel events popped across every node."""
         return sum(kernel.events_popped for kernel in self.nodes.values())

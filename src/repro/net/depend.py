@@ -3,15 +3,15 @@
 The dependability layer lives outside any single kernel (the bus, the
 membership monitor, and replicated channels span the cluster), so its
 metrics cannot ride the per-kernel :class:`~repro.obs.collector.ObsCollector`
-hot paths.  Instead this module snapshots the subsystem counters into a
-:class:`~repro.obs.metrics.MetricsRegistry` on demand -- either a fresh
-one (:func:`net_registry`) or as an extra source folded into a kernel
-collector's export
-(``collector.add_registry_source(lambda reg: populate_net_registry(reg, ...))``).
+hot paths.  Instead :func:`populate_net_registry` snapshots the
+subsystem counters into a :class:`~repro.obs.metrics.MetricsRegistry`
+on demand; :func:`repro.obs.cluster_trace.cluster_metrics_registry`
+calls it after merging the per-node collector exports.
 
 Everything exported is an integer derived from virtual time or event
-counts, so the export is byte-identical across runs and
-``parallel_map`` worker counts (the PR-3 determinism rules).
+counts, so the export is byte-identical across runs (the determinism
+rules of :mod:`repro.obs.metrics`).  Membership counts are read off
+the monitor's transition list, the one record of each transition.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.net.global_state import GlobalStateChannel
     from repro.net.membership import HeartbeatMonitor
 
-__all__ = ["populate_net_registry", "net_registry"]
+__all__ = ["populate_net_registry"]
 
 
 def populate_net_registry(
@@ -124,17 +124,9 @@ def populate_net_registry(
                 status.staleness_max_ns
             )
     if monitor is not None:
-        registry.counter("membership_changes_total").inc(monitor.changes)
+        changes = len(monitor.events)
         downs = sum(1 for e in monitor.events if e[3] == "down")
+        registry.counter("membership_changes_total").inc(changes)
         registry.counter("membership_down_total").inc(downs)
-        registry.counter("membership_up_total").inc(monitor.changes - downs)
+        registry.counter("membership_up_total").inc(changes - downs)
     return registry
-
-
-def net_registry(
-    cluster: "Cluster",
-    channels: Iterable["GlobalStateChannel"] = (),
-    monitor: Optional["HeartbeatMonitor"] = None,
-) -> MetricsRegistry:
-    """A fresh registry holding the cluster's dependability metrics."""
-    return populate_net_registry(MetricsRegistry(), cluster, channels, monitor)

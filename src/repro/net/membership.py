@@ -94,7 +94,6 @@ class HeartbeatMonitor:
         self._alive: Dict[str, Dict[str, bool]] = {}
         #: Every transition, in global detection order.
         self.events: List[MembershipEvent] = []
-        self.changes = 0
         self._callbacks: Dict[str, List[Callable[[int, str, bool], None]]] = {}
 
         for node_name, kernel in cluster.nodes.items():
@@ -207,4 +206,3 @@ class HeartbeatMonitor:
         the global, merge-ordered ``events`` list (the observer's own
         view already flipped in :meth:`_transition`)."""
         self.events.append((time, observer, peer, "up" if up else "down"))
-        self.changes += 1

@@ -63,14 +63,8 @@ def percentile(values: Sequence[int], q: float) -> Optional[int]:
 def response_percentiles(trace: "Trace") -> Dict[str, Dict[str, Optional[float]]]:
     """Per-task response-time stats: count/mean/p50/p95/p99/max (ns).
 
-    Requires job records; raises :class:`ValueError` for a trace
-    recorded in ``"off"`` mode (nothing was stored to analyze).
+    Reads the trace's job records, which every recording mode keeps.
     """
-    if trace.record == "off":
-        raise ValueError(
-            "response percentiles need job records, but this trace was "
-            "recorded in 'off' mode; re-run with record='jobs-only' or 'full'"
-        )
     by_task: Dict[str, List[int]] = {}
     for job in trace.jobs:
         response = job.response_time
@@ -270,7 +264,8 @@ def bus_chain_latency(
     Args:
         bus_events: A :attr:`Fieldbus.bus_log` (``enable_trace()``).
         rx_logs: Per-node accepted-delivery logs
-            (:meth:`Cluster.rx_logs`); ``None`` values are skipped.
+            (``NetInterface.rx_log`` by node name); ``None`` values
+            are skipped.
         rx_timelines: Optional per-node ``[(time, can_id), ...]``
             driver-consumption timelines (:meth:`Cluster.rx_timelines`);
             without them the dispatch stages are ``None``.

@@ -109,8 +109,6 @@ def enable_cluster_tracing(
 
 def _bus_events(
     cluster: "Cluster",
-    rx_logs: Dict[str, Optional[list]],
-    node_index: Dict[str, int],
     membership: Optional["HeartbeatMonitor"],
 ) -> List[Dict]:
     """Bus-pid slices/instants plus the cross-pid flow events."""
@@ -193,11 +191,10 @@ def _bus_events(
     # node.  rx logs record only *accepted* deliveries (CRC-dropped,
     # filtered, and overflowed frames never make it), which is exactly
     # the set that is identical in every sync mode.
-    for name in sorted(rx_logs, key=lambda n: node_index[n]):
-        entries = rx_logs[name]
+    for index, interface in enumerate(cluster.interfaces.values()):
+        entries = interface.rx_log
         if not entries:
             continue
-        index = node_index[name]
         pid = FIRST_NODE_PID + index
         events.append(
             {
@@ -268,22 +265,18 @@ def cluster_chrome_trace(
     byte-identical across sync modes.
     """
     names = list(cluster.nodes)
-    node_index = {name: i for i, name in enumerate(names)}
-    traces = cluster.node_traces()
-    collectors = cluster.node_collectors()
-    rx_logs = cluster.rx_logs()
-    events = _bus_events(cluster, rx_logs, node_index, membership)
+    events = _bus_events(cluster, membership)
     last = 0
     for ev in cluster.bus.bus_log or ():
         if ev.end > last:
             last = ev.end
-    for i, name in enumerate(names):
-        trace = traces[name]
+    for i, (name, kernel) in enumerate(cluster.nodes.items()):
+        trace = kernel.trace
         pid = FIRST_NODE_PID + i
         events.extend(
             node_trace_events(
                 trace,
-                collectors.get(name),
+                kernel.obs,
                 label=name,
                 pid=pid,
                 span_base=pid * _SPAN_STRIDE,
@@ -379,10 +372,8 @@ def cluster_metrics_registry(
     from repro.net.depend import populate_net_registry
 
     merged = MetricsRegistry()
-    registries = cluster.node_registries()
-    for name in cluster.nodes:
-        registry = registries.get(name)
-        if registry is not None:
-            merged.merge(_with_node_label(registry, name))
+    for name, kernel in cluster.nodes.items():
+        if kernel.obs is not None:
+            merged.merge(_with_node_label(kernel.obs.as_registry(), name))
     populate_net_registry(merged, cluster, channels, monitor)
     return merged

@@ -217,7 +217,7 @@ class MetricsRegistry:
 
         Single-use examples::
 
-            collector_reg.merge(net_registry(...))   # in-place fold
+            node_reg.merge(other_node_reg)           # in-place fold
             total = MetricsRegistry().merge(*shards) # N-way combine
         """
         for other in others:

@@ -101,7 +101,7 @@ def collect_report(kernel: "Kernel", wall_s: float, label: str = "run") -> PerfR
         sim_ns=kernel.now,
         wall_s=wall_s,
         events_popped=kernel.events_popped,
-        dispatches=kernel.dispatch_count,
+        dispatches=kernel.scheduler.stats.selects,
         context_switches=kernel.trace.context_switches,
         syscalls=kernel.syscall_count,
         kernel_time_ns=kernel.trace.kernel_time_total,

@@ -67,7 +67,7 @@ from repro.core.cyclic import CyclicScheduleError, build_cyclic_schedule
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.schedulability import csd_overhead_per_period
 from repro.core.task import TaskSpec, Workload, table2_workload
-from repro.sim.breakdown import figure_series
+from repro.sim.breakdown import POLICIES, figure_series
 from repro.sim.kernelsim import simulate_workload
 from repro.sim.semexp import figure11_series
 from repro.timeunits import ms, to_ms, to_us
@@ -618,7 +618,7 @@ def _obs_arg_parser(prog: str, description: str) -> argparse.ArgumentParser:
     """Shared flags of the ``trace`` and ``metrics`` subcommands."""
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
-        "--policy", default="edf",
+        "--policy", choices=POLICIES + ("dm",), default="edf",
         help="scheduling policy for the canonical workload (default edf)",
     )
     parser.add_argument(
@@ -653,7 +653,9 @@ def _obs_run(args):
     workload = overhead_workload()
     splits = None
     if args.policy.startswith("csd-"):
-        splits = min_overhead_splits(workload, 2, OverheadModel())
+        # CSD-x has x - 1 dynamic-priority queues ahead of the FP queue.
+        dp_bands = int(args.policy.split("-", 1)[1]) - 1
+        splits = min_overhead_splits(workload, dp_bands, OverheadModel())
     kernel, trace = simulate_workload(
         workload,
         args.policy,
@@ -833,7 +835,9 @@ def run_cluster_trace(argv: List[str]) -> int:
     count = validate_chrome_trace(payload)
     text = _cluster_trace_text(payload)
     bus_events = list(cluster.bus.bus_log or [])
-    rx_logs = cluster.rx_logs()
+    rx_logs = {
+        name: iface.rx_log for name, iface in cluster.interfaces.items()
+    }
     rx_timelines = cluster.rx_timelines()
     registry = cluster_metrics_registry(cluster)
 

@@ -144,13 +144,6 @@ class EventQueue:
             return entry[0]
         return None
 
-    def next_event_time(self) -> Optional[int]:
-        """Earliest pending event time, or ``None`` when the queue is
-        empty -- the peek the cluster's adaptive conservative
-        synchronization builds on (same contract as
-        :meth:`peek_time`; cancelled heads are trimmed in passing)."""
-        return self.peek_time()
-
     def pop_due(self, now: int) -> Optional[ScheduledEvent]:
         """Pop the next live event with ``time <= now``, if any."""
         heap = self._heap

@@ -18,7 +18,10 @@ integer adds):
   discarded as they arrive.  Deadline accounting
   (:meth:`Trace.misses`, :meth:`Trace.deadline_violations`) still
   works; this is the mode for long throughput runs.
-* ``"off"`` -- counters only; nothing is stored.
+
+Every mode keeps the job records: they are the one record of each
+job's outcome, and every per-task job metric (the collector's
+completion, abort, miss and response-time series) derives from them.
 
 Even at ``"full"``, the event log can be capped with ``max_events``:
 the log becomes a ring buffer keeping the newest events, and the trace
@@ -42,7 +45,7 @@ IDLE = "<idle>"
 KERNEL = "<kernel>"
 
 #: Valid trace recording modes, most to least detailed.
-RECORD_MODES = ("full", "jobs-only", "off")
+RECORD_MODES = ("full", "jobs-only")
 
 #: Kind tag of the marker entry :meth:`Trace.event_log` prepends when
 #: the ring buffer dropped events.
@@ -141,7 +144,6 @@ class Trace:
         "record",
         "record_segments",
         "_record_events",
-        "_record_jobs",
         "max_events",
         "segments",
         "jobs",
@@ -164,7 +166,6 @@ class Trace:
         self.record = record
         self.record_segments = record == "full"
         self._record_events = record == "full"
-        self._record_jobs = record != "off"
         self.max_events = max_events
         self.segments: List[Segment] = []
         self.jobs: List[JobRecord] = []
@@ -220,12 +221,8 @@ class Trace:
 
     def job_released(
         self, thread: str, release: int, deadline: int, job_no: int
-    ) -> Optional[JobRecord]:
-        """Open a job record at its (nominal) release.
-
-        Returns ``None`` in ``"off"`` mode (nothing is stored)."""
-        if not self._record_jobs:
-            return None
+    ) -> JobRecord:
+        """Open a job record at its (nominal) release."""
         record = JobRecord(thread, release, deadline)
         self.jobs.append(record)
         self._open_jobs[(thread, job_no)] = record
@@ -343,13 +340,6 @@ class Trace:
         """All job records of one thread, in release order."""
         return [j for j in self.jobs if j.thread == thread]
 
-    def max_response_ns(self, thread: str) -> Optional[int]:
-        """Worst observed response time of completed jobs (ns)."""
-        responses = [
-            j.response_time for j in self.jobs_of(thread) if j.response_time is not None
-        ]
-        return max(responses) if responses else None
-
     def _require_segments(self, caller: str) -> None:
         """Fail loudly when a segment query runs on a reduced-mode
         trace: a silent empty chart / 0.0 share reads like a real
@@ -454,7 +444,7 @@ class Trace:
             f"({', '.join(f'{k}={to_us(v):.1f}us' for k, v in sorted(self.kernel_time.items()))})",
             f"idle time: {to_us(self.idle_time):.1f} us",
         ]
-        if self.record != "off" and self.jobs:
+        if self.jobs:
             from repro.obs.analyzers import response_percentiles
 
             for task, stats in response_percentiles(self).items():

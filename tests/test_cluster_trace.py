@@ -178,7 +178,7 @@ class TestBusChainLatency:
         cluster = _traced_ring("adaptive")
         chains = bus_chain_latency(
             list(cluster.bus.bus_log),
-            cluster.rx_logs(),
+            {n: iface.rx_log for n, iface in cluster.interfaces.items()},
             cluster.rx_timelines(),
         )
         assert set(chains) == set(range(0x100, 0x100 + NODES))

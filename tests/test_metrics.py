@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.analysis.metrics import cpu_breakdown, miss_ratio, response_stats
+from repro.analysis.metrics import cpu_breakdown, miss_ratio
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Compute, Program
+from repro.obs.analyzers import response_percentiles
 from repro.sim.trace import Trace
 from repro.timeunits import ms
 
@@ -21,20 +22,18 @@ def run_simple(model=ZERO_OVERHEAD, wcet=ms(2), period=ms(10), horizon=ms(100)):
 class TestResponseStats:
     def test_uncontended_task(self):
         k, trace = run_simple()
-        stats = response_stats(trace, "t")
-        assert stats.jobs == 10
-        assert stats.completed == 10
-        assert stats.minimum == ms(2)
-        assert stats.maximum == ms(2)
-        assert stats.mean == ms(2)
-        assert stats.p99 == ms(2)
-        assert stats.completion_ratio == 1.0
+        jobs = trace.jobs_of("t")
+        assert len(jobs) == 10
+        assert all(j.completion is not None for j in jobs)
+        stats = response_percentiles(trace)["t"]
+        assert stats["count"] == 10
+        assert stats["p50"] == ms(2)
+        assert stats["max"] == ms(2)
+        assert stats["mean"] == ms(2)
+        assert stats["p99"] == ms(2)
 
     def test_no_jobs(self):
-        stats = response_stats(Trace(), "ghost")
-        assert stats.jobs == 0
-        assert stats.minimum is None
-        assert stats.completion_ratio == 0.0
+        assert response_percentiles(Trace()) == {}
 
     def test_contended_task_varies(self):
         k = Kernel(EDFScheduler(ZERO_OVERHEAD))
@@ -42,9 +41,9 @@ class TestResponseStats:
                         deadline=ms(5))
         k.create_thread("lo", Program([Compute(ms(2))]), period=ms(20))
         trace = k.run_until(ms(100))
-        stats = response_stats(trace, "lo")
-        assert stats.maximum >= stats.minimum
-        assert stats.maximum == ms(5)  # waits behind hi's 3 ms
+        stats = response_percentiles(trace)["lo"]
+        assert stats["max"] >= stats["p50"]
+        assert stats["max"] == ms(5)  # waits behind hi's 3 ms
 
 
 class TestMissRatio:

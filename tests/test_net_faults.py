@@ -27,13 +27,12 @@ from repro.net import (
     MessageStream,
     bus_response_times,
 )
-from repro.net.depend import net_registry
+from repro.net.depend import populate_net_registry
 from repro.net.errorstate import (
     BUS_OFF_RECOVERY_BITS,
     SUSPEND_TRANSMISSION_BITS,
 )
 from repro.net.frame import ERROR_FRAME_BITS, frame_bits
-from repro.obs.collector import ObsCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.timeunits import ms, us
 
@@ -537,7 +536,7 @@ class TestMembership:
     def test_all_alive_no_transitions(self):
         cluster, monitor = _hb_cluster()
         cluster.run_until(ms(100))
-        assert monitor.changes == 0
+        assert monitor.events == []
         assert monitor.view("n0") == {"n1": True, "n2": True}
 
     def test_silenced_node_detected_within_two_periods(self):
@@ -657,7 +656,9 @@ class TestDependMetrics:
         cluster.enable_dependability()
         monitor = HeartbeatMonitor(cluster, period=ms(20))
         cluster.run_until(ms(100))
-        exported = net_registry(cluster, [channel], monitor).to_dict()
+        exported = populate_net_registry(
+            MetricsRegistry(), cluster, [channel], monitor
+        ).to_dict()
         for name in (
             "bus_frames_delivered_total",
             "can_tec",
@@ -677,15 +678,6 @@ class TestDependMetrics:
         a.merge(b)
         assert a.counter("x", node="n").value == 7
         assert a.gauge("g").value == 9
-
-    def test_collector_registry_source(self):
-        kernel = zero_kernel()
-        collector = ObsCollector().attach(kernel)
-        collector.add_registry_source(
-            lambda reg: reg.counter("extra_total").inc(5)
-        )
-        exported = collector.as_registry().to_dict()
-        assert exported["extra_total"]["series"][0]["value"] == 5
 
 
 # ----------------------------------------------------------------------

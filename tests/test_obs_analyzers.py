@@ -12,7 +12,6 @@ from repro.obs.analyzers import (
 )
 from repro.obs.collector import ObsCollector
 from repro.obs.scenarios import DEMO_HORIZON_NS, pi_demo_kernel, run_pi_demo
-from repro.sim.trace import Trace
 
 
 class TestPercentile:
@@ -35,11 +34,6 @@ class TestPercentile:
 
 
 class TestResponsePercentiles:
-    def test_off_mode_rejected(self):
-        trace = Trace(record="off")
-        with pytest.raises(ValueError, match="'off' mode"):
-            response_percentiles(trace)
-
     def test_demo_values(self):
         _kernel, trace, _collector = run_pi_demo("standard")
         stats = response_percentiles(trace)

@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.core.edf import EDFScheduler
+from repro.core.overhead import ZERO_OVERHEAD
+from repro.kernel.kernel import Kernel
+from repro.kernel.program import Compute, Program
 from repro.obs.collector import ObsCollector
 from repro.obs.metrics import (
     DEFAULT_RESPONSE_BUCKETS_NS,
@@ -17,6 +21,7 @@ from repro.obs.scenarios import (
     run_pi_demo,
 )
 from repro.perf.sweeps import parallel_map
+from repro.timeunits import ms
 
 
 class TestRegistry:
@@ -178,14 +183,22 @@ class TestCollector:
             if name.startswith(("task_", "sem_", "sched_")):
                 assert entry == d_full[name], name
 
-    def test_off_recording_still_counts_completions(self):
-        kernel = pi_demo_kernel("standard", record="off")
+    def test_crash_between_jobs_aborts_no_job(self):
+        """A crash while the thread waits for its next release drops no
+        job: the export agrees with the trace's job records."""
+        kernel = Kernel(EDFScheduler(ZERO_OVERHEAD))
+        kernel.create_thread("t", Program([Compute(ms(1))]), period=ms(10))
+        kernel.set_restart_policy("t", max_restarts=1)
         collector = ObsCollector(mode="counters").attach(kernel)
-        kernel.run_until(DEMO_HORIZON_NS)
+        kernel.schedule_event(ms(5), lambda: kernel.crash_thread("t"))
+        trace = kernel.run_until(ms(8))
+        assert trace.jobs_of("t")[0].completion == ms(1)
+        aborted = sum(1 for j in trace.jobs_of("t") if j.aborted)
         reg = json.loads(collector.metrics_json())
-        series = reg["task_jobs_completed_total"]["series"]
+        series = reg["task_jobs_aborted_total"]["series"]
         by_task = {s["labels"]["task"]: s["value"] for s in series}
-        assert by_task["a"] == 2 and by_task["b"] == 2 and by_task["c"] == 2
+        assert by_task == {"t": aborted}
+        assert aborted == 0
 
 
 class TestDeterminism:

@@ -123,6 +123,26 @@ def test_metrics_subcommand_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_metrics_subcommand_runs_csd2(capsys):
+    args = ["metrics", "--policy", "csd-2", "--horizon-ms", "20"]
+    assert reproduce.main(args) == 0
+
+
+def test_unknown_policy_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        reproduce.main(["trace", "--policy", "edff"])
+    assert exc.value.code == 2
+
+
+def test_csd_policy_allocates_its_fp_queue():
+    parser = reproduce._obs_arg_parser("trace", "test")
+    args = parser.parse_args(["--policy", "csd-4", "--horizon-ms", "1"])
+    kernel, _trace, _collector = reproduce._obs_run(args)
+    lengths = kernel.scheduler.queue_lengths()
+    assert len(lengths) == 4
+    assert lengths[-1] > 0
+
+
 def test_every_benchmark_file_is_registered():
     """The explicit registry replaces source-grep discovery: every
     bench_*.py must be declared, and every declaration must exist."""

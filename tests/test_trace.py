@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.analyzers import response_percentiles
 from repro.sim.trace import IDLE, KERNEL, JobRecord, Trace
 from repro.timeunits import ms
 
@@ -94,7 +95,7 @@ class TestJobs:
         t.job_released("a", 100, 200, 2)
         t.job_completed("a", 2, 180)
         assert len(t.jobs_of("a")) == 2
-        assert t.max_response_ns("a") == 80
+        assert response_percentiles(t)["a"]["max"] == 80
 
     def test_unknown_completion_ignored(self):
         t = Trace()
@@ -135,7 +136,7 @@ class TestRecordModeGuards:
             t.gantt_ascii(0, ms(1))
 
     def test_cpu_share_requires_full_recording(self):
-        t = Trace(record="off")
+        t = Trace(record="jobs-only")
         with pytest.raises(ValueError, match="record='full'"):
             t.cpu_share("a", 0, ms(1))
 
