@@ -25,16 +25,17 @@ cross-check; ``--check`` gates the idle-heavy adaptive entry against
 the committed trajectory -- the ``perf-gates`` CI job runs both.
 
 Each (nodes, utilization) case is an independent deterministic
-simulation, so the sweep fans out over ``--workers`` sweep processes
-(``--workers 1``, the default, is recommended when the *timings*
-matter: concurrent workers contend for cores).
+simulation, so the sweep fans out over ``--workers`` forked processes
+through :func:`repro.perf.sweeps.parallel_map` (``--workers 1``, the
+default, is recommended when the *timings* matter: concurrent
+processes contend for cores).
 """
 
 import hashlib
 import json
 from typing import Tuple
 
-from common import apply_bench_args, bench_arg_parser, publish, sweep_map
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.net.cluster import SYNC_MODES
 from repro.perf.clusterload import (
@@ -44,6 +45,7 @@ from repro.perf.clusterload import (
     cluster_signatures,
     run_cluster_throughput,
 )
+from repro.perf.sweeps import parallel_map
 from repro.perf.trajectory import add_gate_args, check_and_append, make_entry
 
 #: The full sweep grid.
@@ -67,8 +69,7 @@ def _signature_digest(snapshot: dict) -> str:
 def _cluster_case(case: Tuple[int, float]):
     """One sweep point: both sync modes, timed + behavior-fingerprinted.
 
-    Module-level so sweep worker processes can import it; the workload
-    is fully determined by (nodes, utilization).
+    The workload is fully determined by (nodes, utilization).
     """
     nodes, utilization = case
     reports = {
@@ -90,7 +91,7 @@ def _cluster_case(case: Tuple[int, float]):
 
 
 def sweep(cases):
-    outcomes = sweep_map(_cluster_case, list(cases))
+    outcomes = parallel_map(_cluster_case, cases)
     rows = []
     for out in outcomes:
         lock, adap = out["lockstep"], out["adaptive"]

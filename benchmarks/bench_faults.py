@@ -13,24 +13,25 @@ threads forever (service collapses), while the defended kernel aborts
 runaway jobs at their budget and restarts crashed threads after a
 bounded back-off -- no thread is ever lost.
 
-Each (rate, defenses, seed) case is an independent seeded simulation,
-so the sweep fans out over ``--workers`` processes (results identical
-to the serial run).  ``--smoke`` shrinks the sweep for CI.
+Each (rate, defenses, seed) case is an independent seeded simulation
+run through :func:`repro.perf.sweeps.prefix_map`, which fans the
+sweep out over ``--workers`` forked processes (results identical to
+the serial run).  ``--smoke`` shrinks the sweep for CI.
 
 With ``--warmup-ms`` the fault storms arm only after a fault-free
 warm-up; all cases with the same defenses then share that warm-up
-prefix, which the sweep simulates **once** and restores per point
-through :func:`repro.perf.sweeps.prefix_map` (fork snapshots where
-available; results are byte-identical to cold-starting each point --
-see ``bench_sweeps.py`` for the measured speedup).
+prefix, which the planner simulates **once** and restores per point
+from fork snapshots (results are byte-identical to cold-starting each
+point -- see ``bench_sweeps.py`` for the measured speedup).  Without
+it every point starts cold.
 """
 
 import statistics
 from typing import Tuple
 
-from common import apply_bench_args, bench_arg_parser, publish, sweep_map
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
-from repro.faults.chaos import chaos_continue, chaos_prefix, run_chaos
+from repro.faults.chaos import chaos_continue, chaos_prefix
 from repro.perf.sweeps import PrefixSpec, prefix_map
 from repro.timeunits import ms, to_ms
 
@@ -43,22 +44,6 @@ def make_cases(rates, seeds, duration_ns, warmup_ns=0):
         for defended in (True, False)
         for seed in seeds
     ]
-
-
-def _chaos_case(case: Tuple[float, bool, int, int, int]):
-    """One seeded chaos run, cold-started; module-level so worker
-    processes can import it.  Determinism rides on the seed inside
-    the case."""
-    rate, defended, seed, duration_ns, warmup_ns = case
-    return run_chaos(
-        seed,
-        duration_ns,
-        wcet_overrun_rate=rate,
-        crash_rate=rate / 10,
-        clock_jitter_rate=rate / 2,
-        defenses=defended,
-        faults_from=warmup_ns,
-    )
 
 
 def _chaos_plan(case: Tuple[float, bool, int, int, int]):
@@ -87,17 +72,9 @@ def _chaos_plan(case: Tuple[float, bool, int, int, int]):
     return spec, continuation
 
 
-def run_cases(cases):
-    """Execute the grid: shared-prefix planner when a warm-up makes
-    prefixes shareable, the classic parallel cold sweep otherwise."""
-    if any(case[4] > 0 for case in cases):
-        return prefix_map(_chaos_plan, cases)
-    return sweep_map(_chaos_case, cases)
-
-
 def sweep(rates, seeds, duration_ns, warmup_ns=0):
     cases = make_cases(rates, seeds, duration_ns, warmup_ns)
-    outcomes = run_cases(cases)
+    outcomes = prefix_map(_chaos_plan, cases)
     rows = []
     per_seed = len(seeds)
     for index in range(0, len(cases), per_seed):

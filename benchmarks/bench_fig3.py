@@ -11,7 +11,7 @@ Base workloads draw periods from the Section 5.7 mix (5-9 ms, 10-99 ms,
   improves on CSD-3.
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
+from common import bench_task_counts, bench_workloads, publish
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
@@ -25,7 +25,6 @@ def test_figure3(benchmark):
             POLICIES,
             workloads_per_point=bench_workloads(),
             seed=1,
-            workers=bench_workers(),
             period_divisor=1,
         )
 

@@ -6,7 +6,7 @@ to EDF, and CSD beats both ("for n = 40, CSD-4 has 50% lower overhead
 than RM, which in turn has lower overhead than EDF for this large n").
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
+from common import bench_task_counts, bench_workloads, publish
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
@@ -20,7 +20,6 @@ def test_figure4(benchmark):
             POLICIES,
             workloads_per_point=bench_workloads(),
             seed=1,
-            workers=bench_workers(),
             period_divisor=2,
         )
 

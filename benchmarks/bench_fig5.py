@@ -5,7 +5,7 @@ paper's finding: "these short periods allow RM to quickly overtake
 EDF.  Nevertheless, CSD continues to be superior to both."
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
+from common import bench_task_counts, bench_workloads, publish
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
@@ -19,7 +19,6 @@ def test_figure5(benchmark):
             POLICIES,
             workloads_per_point=bench_workloads(),
             seed=1,
-            workers=bench_workers(),
             period_divisor=3,
         )
 

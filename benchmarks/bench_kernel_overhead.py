@@ -13,7 +13,7 @@ signed trajectory entries come from ``python -m repro.reproduce perf
 --check --append`` (``BENCH_kernel.json``), not from this benchmark.
 """
 
-from common import bench_record_mode, publish
+from common import publish
 from repro.analysis import format_table
 from repro.core.overhead import OverheadModel
 from repro.perf.workloads import (
@@ -39,14 +39,13 @@ def test_scheduler_overhead_in_live_kernel(benchmark):
     splits = min_overhead_splits(workload, 2, model)
     assert splits is not None
     horizon = HORIZON_NS
-    mode = bench_record_mode()
 
     def run():
         results = {}
         for policy, sp in (("edf", None), ("rm", None), ("csd-3", splits)):
             kernel, trace = simulate_workload(
                 workload, policy, duration=horizon, model=model,
-                splits=sp, record=mode,
+                splits=sp, record="jobs-only",
             )
             results[policy] = (
                 _scheduler_time(trace),

@@ -17,24 +17,25 @@ measurable latency cost); with retries disabled the ratio tracks
 ``1 - p`` and replicas accumulate sequence gaps.
 
 Each (drop rate, retries, seed) case is an independent seeded
-simulation, so the sweep fans out over ``--workers`` processes
-(results identical to the serial run).  ``--smoke`` shrinks the sweep
-for CI and *asserts* the retransmission guarantee (exit code 1 on
-violation) -- the ``net-chaos-smoke`` CI job runs exactly that.
+simulation run through :func:`repro.perf.sweeps.prefix_map`, which
+fans the sweep out over ``--workers`` forked processes (results
+identical to the serial run).  ``--smoke`` shrinks the sweep for CI
+and *asserts* the retransmission guarantee (exit code 1 on violation)
+-- the ``sweep-smoke`` CI job runs exactly that.
 
 With ``--warmup-ms`` the wire faults arm only after a loss-free
 warm-up; cases with the same retry bound then share that warm-up
-cluster, simulated once and restored per point through
-:func:`repro.perf.sweeps.prefix_map` (fork snapshots where available;
-byte-identical to cold-starting each point).
+cluster, simulated once and restored per point from fork snapshots
+(byte-identical to cold-starting each point).  Without it every point
+starts cold.
 """
 
 import statistics
 from typing import Tuple
 
-from common import apply_bench_args, bench_arg_parser, publish, sweep_map
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
-from repro.faults.chaos import net_chaos_continue, net_chaos_prefix, run_net_chaos
+from repro.faults.chaos import net_chaos_continue, net_chaos_prefix
 from repro.perf.sweeps import PrefixSpec, prefix_map
 from repro.timeunits import ms, to_ms, to_us
 
@@ -60,21 +61,6 @@ def make_cases(drop_ps, seeds, duration_ns, warmup_ns=0):
     ]
 
 
-def _net_case(case: Tuple[float, int, int, int, int]):
-    """One seeded network chaos run, cold-started; module-level so
-    worker processes can import it.  Determinism rides on the seed
-    inside the case."""
-    drop_p, retries, seed, duration_ns, warmup_ns = case
-    return run_net_chaos(
-        seed,
-        duration_ns,
-        drop_p=drop_p,
-        dependability=True,
-        max_retransmits=retries,
-        faults_from=warmup_ns,
-    )
-
-
 def _net_plan(case: Tuple[float, int, int, int, int]):
     """Shared-prefix plan for one case: cases with the same retry
     bound (and horizon) share the loss-free warm-up cluster."""
@@ -98,17 +84,9 @@ def _net_plan(case: Tuple[float, int, int, int, int]):
     return spec, continuation
 
 
-def run_cases(cases):
-    """Execute the grid: shared-prefix planner when a warm-up makes
-    prefixes shareable, the classic parallel cold sweep otherwise."""
-    if any(case[4] > 0 for case in cases):
-        return prefix_map(_net_plan, cases)
-    return sweep_map(_net_case, cases)
-
-
 def sweep(drop_ps, seeds, duration_ns, warmup_ns=0):
     cases = make_cases(drop_ps, seeds, duration_ns, warmup_ns)
-    outcomes = run_cases(cases)
+    outcomes = prefix_map(_net_plan, cases)
     rows = []
     per_seed = len(seeds)
     for index in range(0, len(cases), per_seed):

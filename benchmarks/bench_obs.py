@@ -12,9 +12,11 @@ Enforces the observability layer's two contracts on the canonical
    runs.  (The full-mode trace signatures are gated by
    ``python -m repro.reproduce perf --check``.)
 
-With ``--obs`` (or ``REPRO_BENCH_OBS``) set, the run also dumps the
-metrics/trace artifacts via :func:`common.dump_obs_artifacts`.
-``--smoke`` shrinks the repetitions for CI.
+The run also writes the artifacts of a 200 ms full-mode run of that
+workload under EDF: ``obs_canonical.metrics.json``,
+``obs_canonical.prom`` and the Perfetto-loadable
+``obs_canonical.trace.json``.  ``--smoke`` shrinks the repetitions for
+CI.
 
 ``--cluster`` switches to the *cluster* instrumentation bound: arming
 cluster-wide tracing (bus event log, per-interface rx logs, and
@@ -23,13 +25,7 @@ must cost < 10% of throughput versus an uninstrumented run, measured
 with the same interleaved best-of discipline.
 """
 
-from common import (
-    apply_bench_args,
-    bench_arg_parser,
-    bench_obs_mode,
-    dump_obs_artifacts,
-    publish,
-)
+from common import apply_bench_args, bench_arg_parser, bench_out_dir, publish
 from repro.analysis import format_table
 
 #: The enforced counters-mode overhead bound (fraction of throughput).
@@ -177,17 +173,19 @@ def main(argv=None) -> int:
     ]
     publish("obs_overhead", "\n".join(lines))
 
-    if bench_obs_mode() is not None:
-        from repro.sim.kernelsim import simulate_workload
-        from repro.perf.workloads import overhead_workload
-        from repro.timeunits import ms
+    from repro.obs.tracer import export_chrome_trace
+    from repro.perf.workloads import overhead_workload
+    from repro.sim.kernelsim import simulate_workload
+    from repro.timeunits import ms
 
-        kernel, trace = simulate_workload(
-            overhead_workload(), "edf", duration=ms(200),
-            record="full", obs=bench_obs_mode(),
-        )
-        out = dump_obs_artifacts("obs_canonical", kernel, trace)
-        print(f"observability artifacts written under {out}")
+    kernel, trace = simulate_workload(
+        overhead_workload(), "edf", duration=ms(200), record="full", obs="full"
+    )
+    out = bench_out_dir()  # publish() above created it
+    (out / "obs_canonical.metrics.json").write_text(kernel.obs.metrics_json() + "\n")
+    (out / "obs_canonical.prom").write_text(kernel.obs.metrics_prometheus())
+    export_chrome_trace(out / "obs_canonical.trace.json", trace, kernel.obs)
+    print(f"observability artifacts written under {out}")
 
     failed = []
     if overhead >= MAX_OVERHEAD:

@@ -112,10 +112,9 @@ def run_pi_demo(
 def demo_metrics_fingerprint(scheme: str) -> str:
     """Hash of every observability export for one demo run.
 
-    Module-level (hence picklable) so the determinism property test
-    can fan it out through ``parallel_map`` and compare fingerprints
-    across worker counts: sha256 over the metrics JSON, the Prometheus
-    text, and the Chrome trace JSON.
+    sha256 over the metrics JSON, the Prometheus text, and the Chrome
+    trace JSON; the determinism property test fans it out through
+    ``parallel_map`` and compares fingerprints across worker counts.
     """
     import hashlib
     import json

@@ -11,14 +11,15 @@ not the hot path itself:
   GC-parked wall-clock timer;
 * :mod:`repro.perf.profiler` -- an opt-in ``cProfile`` hook, exposed
   via ``python -m repro.reproduce perf --profile``;
-* :mod:`repro.perf.sweeps` -- a ``multiprocessing`` sweep runner with
+* :mod:`repro.perf.sweeps` -- a forking sweep runner with
   deterministic, seed-stable results that the benchmark scripts route
   through, plus the shared-prefix planner (:func:`prefix_map`) that
   simulates each common warm-up prefix once and restores every sweep
   point from a snapshot of it;
-* :mod:`repro.perf.snapshot` -- the checkpoint/restore mechanism
-  behind that planner: fork-based copy-on-write prefix servers,
-  byte-identical to cold runs by construction;
+* :mod:`repro.perf.snapshot` -- the one fork mechanism behind both:
+  copy-on-write prefix servers (an empty prefix for a plain sweep),
+  byte-identical to cold runs by construction, that raise rather than
+  hang when a child dies;
 * :mod:`repro.perf.trajectory` -- the persistent machine-readable
   perf histories (``BENCH_kernel.json``, ``BENCH_cluster.json``,
   ``BENCH_sweeps.json``) and the one regression gate, with the

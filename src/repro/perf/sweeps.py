@@ -3,33 +3,37 @@
 Workload sweeps (Figures 3-5, the fault sweeps, seed batteries) are
 embarrassingly parallel: every point is a pure function of its own
 parameters, including its own seed.  :func:`parallel_map` fans such
-points out over a ``multiprocessing`` pool while keeping the results
+points out over forked processes while keeping the results
 **bit-identical to the serial run**:
 
-* results come back in submission order (``Pool.map`` preserves it);
+* results come back in submission order;
 * every item carries its own seed in its arguments, so the outcome
-  never depends on which worker computed it or in what order;
+  never depends on which process computed it or in what order;
 * the serial path runs the very same function, so ``workers=1`` is
   the reference implementation.
 
-The pool uses the ``fork`` start method (cheap, and lets benchmark
-scripts pass module-level functions defined in ``__main__``).  Where
-``fork`` is unavailable (non-POSIX platforms) the runner silently
-degrades to the serial path -- a gate, not a new dependency.
+Forking goes through :class:`~repro.perf.snapshot.SnapshotServer`, the
+one fork mechanism: :func:`parallel_map` is a server with an empty
+prefix, so ``fn`` may be any callable (a closure too; only its results
+cross a pipe) and a child that dies raises
+:class:`~repro.perf.snapshot.SnapshotError` instead of hanging the
+sweep.  Where ``fork`` is unavailable (non-POSIX platforms) the runner
+silently degrades to the serial path -- a gate, not a new dependency.
 
-:func:`prefix_map` is the shared-prefix planner on top of
-:mod:`repro.perf.snapshot`: sweep points that share a warm-up prefix
-are grouped by a :class:`PrefixSpec`, each group's prefix is simulated
-**once**, and the per-point continuations run from fork copy-on-write
-snapshots of it -- with results byte-identical to cold-starting every
-point, which is what it does where ``fork`` is unavailable.
+:func:`prefix_map` is the shared-prefix planner on top of it: sweep
+points that share a warm-up prefix are grouped by a
+:class:`PrefixSpec`, each group's prefix is simulated **once**, and
+the per-point continuations run from fork copy-on-write snapshots of
+it; every other point runs cold through :func:`parallel_map`.  Results
+are byte-identical to cold-starting every point, which is what it does
+where ``fork`` is unavailable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.perf import snapshot as _snapshot
@@ -71,30 +75,37 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
+def _call(fn: Callable[[T], R], item: T, _state: Any) -> R:
+    """A :func:`parallel_map` point as a continuation of the empty
+    prefix."""
+    return fn(item)
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across processes.
+    """Map ``fn`` over ``items``, optionally across forked processes.
 
-    The result list is in item order regardless of worker scheduling.
-    ``fn`` must be a module-level (picklable) function and must be a
-    pure function of its item -- in particular any randomness must be
-    seeded from the item itself, never from global state.
+    The result list is in item order regardless of scheduling; at most
+    ``workers`` items run at once.  ``fn`` must be a pure function of
+    its item -- in particular any randomness must be seeded from the
+    item itself, never from global state -- and its results must be
+    picklable.  A failed or dead child raises
+    :class:`~repro.perf.snapshot.SnapshotError`.
     """
     items = list(items)
     count = resolve_workers(workers)
     if count <= 1 or len(items) <= 1 or not _snapshot.fork_available():
         return [fn(item) for item in items]
-    count = min(count, len(items))
-    if chunksize is None:
-        # A few chunks per worker balances load without drowning the
-        # pool in tiny tasks.
-        chunksize = max(1, len(items) // (count * 4))
-    with multiprocessing.get_context("fork").Pool(processes=count) as pool:
-        return pool.map(fn, items, chunksize)
+    with _snapshot.SnapshotServer(
+        tuple,
+        [partial(_call, fn, item) for item in items],
+        children=min(count, len(items)),
+        name="parallel_map",
+    ) as server:
+        return server.results()
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +134,12 @@ class PrefixSpec:
             )
 
 
+def _cold(point: Tuple[PrefixSpec, Callable[[Any], R]]) -> R:
+    """Run one sweep point from scratch: build its prefix, finish it."""
+    spec, continuation = point
+    return continuation(spec.build())
+
+
 def prefix_map(
     plan: Callable[[T], Tuple[PrefixSpec, Callable[[Any], R]]],
     cases: Sequence[T],
@@ -139,16 +156,17 @@ def prefix_map(
     case order and are byte-identical to cold-starting every point
     (``continuation(spec.build())``) -- the fallback this degrades to
     on platforms without ``fork`` and for groups where sharing cannot
-    pay (a single member, or ``t_split`` 0).
+    pay (a single member, or ``t_split`` 0).  Those cold points fan
+    out through :func:`parallel_map`.
 
-    ``children`` bounds concurrent continuations per group (default:
-    the ``REPRO_BENCH_WORKERS`` worker count).  All group servers are
-    created up front and each forks its continuations as soon as its
-    own prefix is built, so distinct groups overlap end to end even
-    with ``children=1`` (up to ``children`` continuations per group at
-    once); the parent only collects, in case order.  If any group
-    fails, every server is closed, taking its in-flight continuations
-    down with it, and the failure surfaces as
+    ``children`` bounds the concurrent continuations per group and the
+    concurrent cold points (default: the ``REPRO_BENCH_WORKERS`` worker
+    count).  All group servers are created up front and each forks its
+    continuations as soon as its own prefix is built, so groups overlap
+    end to end, with each other and with the cold points, even with
+    ``children=1``; the parent only collects, in case order.  If any
+    group fails, every server is closed, taking its in-flight
+    continuations down with it, and the failure surfaces as
     :class:`~repro.perf.snapshot.SnapshotError`.
     """
     cases = list(cases)
@@ -169,14 +187,19 @@ def prefix_map(
                         children=resolve_workers(children),
                         name=f"prefix{spec.key!r}@{spec.t_split}",
                     )
-        for group_key, (spec, members) in groups.items():
-            server = servers.get(group_key)
-            if server is None:
-                for index, continuation in members:
-                    results[index] = continuation(spec.build())
-            else:
-                for (index, _), outcome in zip(members, server.results()):
-                    results[index] = outcome
+        cold = [
+            (index, (spec, continuation))
+            for group_key, (spec, members) in groups.items()
+            if group_key not in servers
+            for index, continuation in members
+        ]
+        outcomes = parallel_map(_cold, [point for _, point in cold], children)
+        for (index, _), outcome in zip(cold, outcomes):
+            results[index] = outcome
+        for group_key, server in servers.items():
+            _, members = groups[group_key]
+            for (index, _), outcome in zip(members, server.results()):
+                results[index] = outcome
     finally:
         for server in servers.values():
             server.close()

@@ -45,14 +45,6 @@ metrics registry::
 
     python -m repro.reproduce cluster-trace --out cluster.trace.json
     python -m repro.reproduce cluster-trace --verify   # byte-identity
-
-The ``snapshot`` subcommand demonstrates checkpoint/restore prefix
-reuse: a small fault sweep whose points share one warm-up prefix is
-run cold and through :func:`repro.perf.sweeps.prefix_map`, every
-restored point is checked byte-identical to its cold twin, and the
-wall-clock speedup is reported::
-
-    python -m repro.reproduce snapshot --warmup-ms 1500
 """
 
 from __future__ import annotations
@@ -209,7 +201,6 @@ def run_figure11(quick: bool) -> None:
 def run_ipc(quick: bool) -> None:
     """Regenerate the reconstructed Section 7 IPC comparison."""
     _banner("Section 7 (reconstructed): mailbox vs state-message IPC")
-    sys.path.insert(0, "benchmarks")
     from repro.core.edf import EDFScheduler
     from repro.kernel.kernel import Kernel
     from repro.kernel.program import Compute, Program, Recv, Send, StateRead, StateWrite
@@ -570,7 +561,7 @@ def run_bench(argv: List[str]) -> int:
 
     ``bench all`` runs every benchmark; ``bench fig3 kernel_overhead``
     runs a selection (names map to ``benchmarks/bench_<name>.py``).
-    The shared ``--out/--workers/--record/--obs/--smoke`` flags of
+    The shared ``--out/--workers/--smoke`` flags of
     ``benchmarks/common.py`` configure the runs; how each benchmark is
     invoked comes from the explicit ``BENCHMARKS`` registry there.
     """
@@ -878,113 +869,6 @@ def run_cluster_trace(argv: List[str]) -> int:
     return 0
 
 
-def run_snapshot(argv: List[str]) -> int:
-    """The ``snapshot`` subcommand: prefix-reuse demo + self-check.
-
-    Runs a small canonical fault sweep (every point shares the same
-    fault-free warm-up) twice -- cold-starting each point, then
-    restoring each point from a snapshot of the shared prefix -- and
-    verifies the restored results byte-identical to the cold ones
-    (the dataclasses carry full-record trace signatures).
-    """
-    import time as _time
-
-    from repro.faults.chaos import chaos_continue, chaos_prefix, run_chaos
-    from repro.perf.snapshot import fork_available
-    from repro.perf.sweeps import PrefixSpec, prefix_map
-
-    parser = argparse.ArgumentParser(
-        prog="reproduce snapshot",
-        description="Checkpoint/restore prefix reuse: identity + speedup.",
-    )
-    parser.add_argument(
-        "--duration-ms", type=int, default=4000,
-        help="virtual horizon per sweep point (ms)",
-    )
-    parser.add_argument(
-        "--warmup-ms", type=int, default=3000,
-        help="shared fault-free warm-up before the storms arm (ms)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2],
-        help="seeds per fault rate",
-    )
-    parser.add_argument(
-        "--rates", type=float, nargs="+", default=[5.0, 50.0],
-        help="fault rates (faults per virtual second)",
-    )
-    args = parser.parse_args(argv)
-    if not 0 <= args.warmup_ms < args.duration_ms:
-        parser.error("--warmup-ms must lie inside the --duration-ms horizon")
-
-    duration, warmup = ms(args.duration_ms), ms(args.warmup_ms)
-    cases = [(rate, seed) for rate in args.rates for seed in args.seeds]
-
-    def plan(case):
-        rate, seed = case
-        spec = PrefixSpec(
-            key=("snapshot-demo", warmup),
-            t_split=warmup,
-            build=lambda: chaos_prefix(True, t_split=warmup),
-        )
-
-        def continuation(kernel):
-            return chaos_continue(
-                kernel,
-                seed,
-                duration,
-                wcet_overrun_rate=rate,
-                crash_rate=rate / 10,
-                clock_jitter_rate=rate / 2,
-                faults_from=warmup,
-            )
-
-        return spec, continuation
-
-    def cold_case(case):
-        rate, seed = case
-        return run_chaos(
-            seed,
-            duration,
-            wcet_overrun_rate=rate,
-            crash_rate=rate / 10,
-            clock_jitter_rate=rate / 2,
-            faults_from=warmup,
-        )
-
-    print(
-        f"Snapshot demo: {len(cases)} points x {args.duration_ms} ms, "
-        f"shared {args.warmup_ms} ms warm-up, "
-        f"{'fork snapshots' if fork_available() else 'cold (no fork)'}"
-    )
-    started = _time.perf_counter()
-    cold = [cold_case(case) for case in cases]
-    cold_wall = _time.perf_counter() - started
-    started = _time.perf_counter()
-    restored = prefix_map(plan, cases)
-    snap_wall = _time.perf_counter() - started
-
-    failed = False
-    for case, a, b in zip(cases, cold, restored):
-        verdict = "identical" if a == b else "MISMATCH"
-        failed = failed or a != b
-        print(
-            f"  rate={case[0]:g} seed={case[1]}: {verdict} "
-            f"(miss ratio {a.miss_ratio:.3f}, "
-            f"signature {a.trace_signature[:12]})"
-        )
-    speedup = cold_wall / snap_wall if snap_wall else float("inf")
-    print(
-        f"cold {cold_wall:.2f} s, snapshot {snap_wall:.2f} s "
-        f"-> {speedup:.2f}x"
-    )
-    if failed:
-        print("FAIL: restored results diverged from cold runs")
-        return 1
-    print("every restored point is byte-identical to its cold run")
-    return 0
-
-
 TARGETS: Dict[str, Callable[[bool], None]] = {
     "table1": run_table1,
     "table2": run_table2,
@@ -1018,8 +902,6 @@ def main(argv: List[str] = None) -> int:
         return run_metrics(raw[1:])
     if raw and raw[0] == "cluster-trace":
         return run_cluster_trace(raw[1:])
-    if raw and raw[0] == "snapshot":
-        return run_snapshot(raw[1:])
     parser = argparse.ArgumentParser(
         description="Regenerate the EMERALDS paper's tables and figures."
     )

@@ -317,10 +317,9 @@ def _figure_cell(args: Tuple) -> float:
     """One (task count, policy) cell of a figure: the average breakdown
     utilization in percent.
 
-    Module-level (not a closure) so :func:`repro.perf.sweeps.parallel_map`
-    can ship it to worker processes; each worker regenerates its
-    workloads deterministically from the seed, so results are identical
-    at any worker count.
+    Each cell regenerates its workloads deterministically from the
+    seed, so results are identical at any
+    :func:`repro.perf.sweeps.parallel_map` worker count.
     """
     n, policy, workloads_per_point, seed, period_divisor, model, blocking = args
     workloads = generate_base_workloads(n, workloads_per_point, seed=seed)
@@ -356,7 +355,7 @@ def figure_series(
         model: Overhead model; default is the paper's MC68040 table.
         blocking_factor: Section 5.1 blocking multiplier.
         progress: Optional callback receiving progress strings.
-        workers: Worker processes for the (n, policy) grid; ``None``
+        workers: Forked processes for the (n, policy) grid; ``None``
             honors ``REPRO_BENCH_WORKERS`` (default serial), ``0``
             means one per CPU.  Results are identical at any count.
 

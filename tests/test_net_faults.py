@@ -747,6 +747,6 @@ class TestNetChaos:
 
 
 def _chaos_case(case):
-    """Module-level so parallel_map workers can pickle it."""
+    """One seeded net-chaos run per ``(seed, drop rate)`` case."""
     seed, drop_p = case
     return run_net_chaos(seed, ms(200), drop_p=drop_p)

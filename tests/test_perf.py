@@ -127,6 +127,18 @@ def test_parallel_map_empty_and_single():
     assert parallel_map(_square, [3], workers=4) == [9]
 
 
+def test_parallel_map_accepts_closures():
+    """Points are forked, not pickled: ``fn`` may close over state."""
+    offset = 10
+
+    def shifted(x):
+        return x + offset
+
+    assert parallel_map(shifted, range(6), workers=2) == [
+        x + offset for x in range(6)
+    ]
+
+
 def test_resolve_workers_semantics(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert resolve_workers(None) == 1

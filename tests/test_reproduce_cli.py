@@ -49,15 +49,14 @@ def test_faults_no_defenses_flag(capsys):
     assert "defenses off" in out
 
 
-def test_snapshot_subcommand(capsys):
-    args = [
-        "snapshot", "--duration-ms", "300", "--warmup-ms", "225",
-        "--seeds", "1", "2", "--rates", "5", "50",
-    ]
-    assert reproduce.main(args) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert sum(": identical (" in line for line in lines) == 4
-    assert lines[-1] == "every restored point is byte-identical to its cold run"
+def test_ipc_target_leaves_sys_path_alone(capsys):
+    """A target imports nothing by cwd-relative path, so a later
+    ``import common`` cannot pick up whatever ``./benchmarks`` holds."""
+    import sys
+
+    before = list(sys.path)
+    assert reproduce.main(["ipc", "--quick"]) == 0
+    assert sys.path == before
 
 
 def test_default_runs_everything_quick_is_not_tested_here():

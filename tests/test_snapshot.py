@@ -193,7 +193,7 @@ class TestNetChaosEquality:
 
 
 def _pid(_item):
-    """Which process ran this item (module-level: picklable)."""
+    """Which process ran this item."""
     return os.getpid()
 
 
@@ -350,6 +350,54 @@ def linger(_state):
 spec = PrefixSpec(key=("sleepy",), t_split=1, build=dict)
 prefix_map(lambda case: (spec, linger), range(3), children=1)
 """
+
+
+#: ``parallel_map`` over four points whose third kills its process.
+_DYING_MAP = """
+import os
+from repro.perf.sweeps import parallel_map
+
+def point(item):
+    if item == 2:
+        os._exit(1)
+    return item
+
+parallel_map(point, range(4), workers=2)
+"""
+
+
+class TestFanOut:
+    """Every forked point runs in a ``SnapshotServer``, shared prefix
+    or not."""
+
+    @requires_fork
+    def test_dead_child_raises_instead_of_hanging(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _DYING_MAP],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode != 0
+        assert "SnapshotError" in done.stderr
+
+    @requires_fork
+    def test_cold_points_fan_out_over_children(self):
+        """``t_split == 0`` points share nothing, yet ``children`` still
+        forks them, and the bytes match ``run_chaos``."""
+
+        def plan(case):
+            spec, continuation = _grouped_plan(case)
+            return spec, lambda kernel: (os.getpid(), continuation(kernel))
+
+        cases = [(True, 0, rate, seed) for rate in RATES for seed in SEEDS]
+        outcomes = prefix_map(plan, cases, children=2)
+        assert [result for _, result in outcomes] == [
+            _grouped_cold(case) for case in cases
+        ]
+        assert os.getpid() not in {pid for pid, _ in outcomes}
 
 
 class TestPrefixGroups:
