@@ -3,7 +3,8 @@
 Regenerates Figure 2 by actually scheduling the Table 2 workload in
 the live kernel under RM (tau5 misses its deadline exactly as the
 paper's trace shows), then under EDF and CSD-2 with tau1..tau5 on the
-DP queue (no misses).
+DP queue (no misses; their Gantt charts close
+``figure2_alternatives.txt``).
 """
 
 from common import publish
@@ -12,6 +13,13 @@ from repro.core.overhead import ZERO_OVERHEAD
 from repro.core.task import table2_workload
 from repro.sim.kernelsim import simulate_workload
 from repro.timeunits import ms
+
+
+def gantt(trace) -> str:
+    """The paper's Figure 2 window: tau1..tau5 over [0, 10 ms]."""
+    return trace.gantt_ascii(
+        0, ms(10), columns=60, threads=[f"tau{i}" for i in range(1, 6)]
+    )
 
 
 def test_figure2_rm_trace(benchmark):
@@ -24,13 +32,10 @@ def test_figure2_rm_trace(benchmark):
 
     kernel, trace = benchmark(run)
     misses = sorted({j.thread for j in trace.deadline_violations(kernel.now)})
-    gantt = trace.gantt_ascii(
-        0, ms(10), columns=60, threads=[f"tau{i}" for i in range(1, 6)]
-    )
     publish(
         "figure2_rm",
         "Figure 2: RM schedule of the Table 2 workload\n"
-        + gantt
+        + gantt(trace)
         + f"\ndeadline misses: {misses} (paper: tau5)",
     )
     assert misses == ["tau5"]
@@ -40,25 +45,28 @@ def test_figure2_edf_and_csd(benchmark):
     workload = table2_workload()
 
     def run():
-        results = {}
-        for policy, splits in (("edf", None), ("csd-2", (5,))):
-            kernel, trace = simulate_workload(
+        return {
+            policy: simulate_workload(
                 workload, policy, duration=ms(200),
                 model=ZERO_OVERHEAD, splits=splits,
             )
-            results[policy] = len(trace.deadline_violations(kernel.now))
-        return results
+            for policy, splits in (("edf", None), ("csd-2", (5,)))
+        }
 
-    results = benchmark(run)
-    publish(
-        "figure2_alternatives",
-        format_table(
-            ["policy", "deadline misses in 200 ms"],
-            [[p, v] for p, v in results.items()],
-            title="Table 2 workload under EDF and CSD-2 (DP = tau1..tau5)",
-        ),
+    runs = benchmark(run)
+    misses = {p: len(t.deadline_violations(k.now)) for p, (k, t) in runs.items()}
+    table = format_table(
+        ["policy", "deadline misses in 200 ms"],
+        [[p, v] for p, v in misses.items()],
+        title="Table 2 workload under EDF and CSD-2 (DP = tau1..tau5)",
     )
-    assert results == {"edf": 0, "csd-2": 0}
+    charts = "".join(
+        f"\n\nFigure 2 alternative: {p.upper()} schedule of the Table 2 "
+        f"workload\n{gantt(t)}"
+        for p, (_, t) in runs.items()
+    )
+    publish("figure2_alternatives", table + charts)
+    assert misses == {"edf": 0, "csd-2": 0}
 
 
 def test_table2_workload_properties(benchmark):

@@ -7,23 +7,32 @@ survives pytest's capture) in addition to printing it.
 All benchmarks read their knobs from one place -- here -- either as
 environment variables (how the pytest-run benchmarks are configured)
 or through :func:`bench_arg_parser`, which gives standalone benchmark
-CLIs the same ``--out/--workers/--smoke`` flags and writes them back
-into the environment so the env-based getters agree.  The CLIs that
-measure a committed ``BENCH_*.json`` trajectory take their
-``--check/--append`` flags from :mod:`repro.perf.trajectory`.
+CLIs and ``reproduce bench`` the same ``--out/--workers/--smoke``
+flags and writes them back into the environment so the env-based
+getters agree.  The CLIs that measure a committed ``BENCH_*.json``
+trajectory take their ``--check/--append`` flags from
+:mod:`repro.perf.trajectory`.
+
+``--smoke`` (``reproduce --quick``) is the shrunken pass: each CLI
+benchmark shrinks its own grid, the pytest-style ones get the smoke
+sizes below and run each ``benchmark(fn)`` once under ``reproduce
+bench``, and nothing overwrites the committed results -- output goes
+into the gitignored ``benchmarks/results/smoke/`` unless ``--out``
+(or ``REPRO_BENCH_OUT``) names a directory.
 
 Environment knobs:
 
 * ``REPRO_BENCH_WORKLOADS`` -- random workloads averaged per point in
-  the Figures 3-5 sweeps (default 25; the paper used 500).
+  the Figures 3-5 sweeps (default 25, smoke 8; the paper used 500).
 * ``REPRO_BENCH_TASKCOUNTS`` -- comma-separated task counts for the
-  sweeps (default ``5,10,...,50`` like the paper).
+  sweeps (default ``5,10,...,50`` like the paper; smoke
+  ``5,15,30,50``).
 * ``REPRO_BENCH_WORKERS`` -- forked processes per sweep (default 1 =
   serial; 0 = one per CPU), read by
   :func:`repro.perf.sweeps.parallel_map` and
   :func:`~repro.perf.sweeps.prefix_map`.
 * ``REPRO_BENCH_OUT`` -- output directory for rendered results
-  (default ``benchmarks/results/``).
+  (default ``benchmarks/results/``, smoke ``benchmarks/results/smoke/``).
 """
 
 from __future__ import annotations
@@ -96,7 +105,8 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--out", type=Path, default=None,
-        help="directory for rendered results (default benchmarks/results/)",
+        help="directory for rendered results (default benchmarks/results/, "
+        "or results/smoke/ under --smoke)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -109,13 +119,21 @@ def bench_arg_parser(description: Optional[str] = None) -> argparse.ArgumentPars
 
 
 def apply_bench_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Publish parsed shared flags into the environment knobs."""
+    """Publish parsed shared flags into the environment knobs.
+
+    ``--smoke`` only fills unset knobs, so an explicit ``--out`` wins --
+    also one given to the ``reproduce bench`` that forwards ``--smoke``.
+    """
     if getattr(args, "out", None) is not None:
         os.environ["REPRO_BENCH_OUT"] = str(args.out)
     if getattr(args, "workers", None) is not None:
         if args.workers < 0:
             raise SystemExit(f"--workers must be non-negative (got {args.workers})")
         os.environ[WORKERS_ENV] = str(args.workers)
+    if getattr(args, "smoke", False):
+        os.environ.setdefault("REPRO_BENCH_TASKCOUNTS", "5,15,30,50")
+        os.environ.setdefault("REPRO_BENCH_WORKLOADS", "8")
+        os.environ.setdefault("REPRO_BENCH_OUT", str(RESULTS_DIR / "smoke"))
     return args
 
 

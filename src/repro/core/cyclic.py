@@ -143,13 +143,13 @@ def _frame_candidates(workload: Workload, hyperperiod: int) -> List[int]:
     """Legal minor frames, largest first."""
     min_period = min(t.period for t in workload)
     candidates = []
-    f = 1
-    while f * f <= hyperperiod:
+    # A divisor f > min_period is no legal frame, and for f <= isqrt(H)
+    # neither is its cofactor H // f >= f: stop at the smaller bound.
+    for f in range(1, min(math.isqrt(hyperperiod), min_period) + 1):
         if hyperperiod % f == 0:
             for value in (f, hyperperiod // f):
                 if value <= min_period:
                     candidates.append(value)
-        f += 1
     out = []
     for f in sorted(set(candidates), reverse=True):
         if all(2 * f - math.gcd(f, t.period) <= t.deadline for t in workload):

@@ -1,10 +1,14 @@
 """Tests for the cyclic time-slice executive baseline (Section 5 intro)."""
 
+import math
+
 import pytest
 
 from repro.core.cyclic import (
     CyclicScheduleError,
     TABLE_ENTRY_BYTES,
+    _frame_candidates,
+    _hyperperiod,
     build_cyclic_schedule,
 )
 from repro.core.task import TaskSpec, Workload, table2_workload
@@ -65,6 +69,29 @@ class TestConstruction:
     def test_table_bytes(self):
         schedule = build_cyclic_schedule(wl((10, 2), (20, 5)))
         assert schedule.table_bytes == schedule.table_entries * TABLE_ENTRY_BYTES
+
+
+class TestFrameCandidates:
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            (60, 90, 100),  # H = 900: isqrt(H) = 30 < shortest period
+            (97, 89, 83),  # H = 716,539: isqrt(H) = 846 > shortest period
+        ],
+    )
+    def test_equals_brute_force_divisor_scan(self, periods):
+        w = Workload(
+            TaskSpec(name=f"t{i}", period=p, wcet=1) for i, p in enumerate(periods)
+        )
+        hyperperiod = _hyperperiod(w)
+        brute = [
+            f
+            for f in range(min(periods), 0, -1)
+            if hyperperiod % f == 0
+            and all(2 * f - math.gcd(f, p) <= p for p in periods)
+        ]
+        assert brute
+        assert _frame_candidates(w, hyperperiod) == brute
 
 
 class TestPaperClaims:

@@ -1,25 +1,80 @@
 """Smoke tests for the command-line reproduction harness."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro import reproduce
 
+BENCH_DIR = Path(reproduce.__file__).parent.parent.parent / "benchmarks"
+RESULTS_DIR = BENCH_DIR / "results"
 
-@pytest.mark.parametrize(
-    "target", ["table1", "table2", "table3", "figure2", "cyclic", "ipc"]
-)
-def test_cheap_targets_run(target, capsys):
-    assert reproduce.main([target, "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "done in" in out
-    assert len(out) > 100
+#: The files each cheap artifact's benchmark publishes.
+CHEAP_ARTIFACTS = {
+    "table1": {"table1.txt", "table1_crossover.txt"},
+    "table2": {"table2.txt", "figure2_rm.txt", "figure2_alternatives.txt"},
+    "figure2": {"table2.txt", "figure2_rm.txt", "figure2_alternatives.txt"},
+    "table3": {"table3.txt", "table3_split_gain.txt"},
+    "cyclic": {
+        "cyclic_table_size.txt", "cyclic_aperiodic.txt", "cyclic_brittleness.txt"
+    },
+    "ipc": {"ipc_readers.txt", "ipc_sizes.txt"},
+}
 
 
-def test_figure11_quick(capsys):
-    assert reproduce.main(["figure11", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "DP queue" in out and "FP queue" in out
-    assert "29.4" in out  # the flat FP line
+@pytest.fixture(autouse=True)
+def private_environ(monkeypatch):
+    """``apply_bench_args`` publishes flags into ``os.environ``; a copy
+    keeps them from leaking into later tests."""
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+
+
+@pytest.mark.parametrize("target", sorted(CHEAP_ARTIFACTS))
+def test_cheap_targets_run(target, tmp_path):
+    assert reproduce.main([target, "--quick", "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == CHEAP_ARTIFACTS[target]
+    if target == "figure2":
+        text = (tmp_path / "figure2_alternatives.txt").read_text()
+        assert "EDF schedule of the Table 2 workload" in text
+        assert "tau5 |........................############" in text
+
+
+def test_figure11_quick(tmp_path):
+    assert reproduce.main(["figure11", "--quick", "--out", str(tmp_path)]) == 0
+    assert "DP queue" in (tmp_path / "figure11_dp.txt").read_text()
+    fp = (tmp_path / "figure11_fp.txt").read_text()
+    assert "FP queue" in fp
+    assert "29.4" in fp  # the flat FP line
+
+
+def test_quick_never_writes_committed_results():
+    """A --quick pass writes into the gitignored results/smoke/."""
+    os.environ.pop("REPRO_BENCH_OUT", None)
+    committed = {p: p.read_bytes() for p in RESULTS_DIR.glob("*.txt")}
+    smoke_rm = RESULTS_DIR / "smoke" / "figure2_rm.txt"
+    smoke_rm.parent.mkdir(exist_ok=True)
+    smoke_rm.write_text("stale\n")
+    assert reproduce.main(["table2", "--quick"]) == 0
+    assert {p: p.read_bytes() for p in RESULTS_DIR.glob("*.txt")} == committed
+    assert "RM schedule" in smoke_rm.read_text()
+
+
+@pytest.mark.parametrize("figure", ["figure3", "figure4", "figure5"])
+def test_committed_breakdown_figures_are_default_size(figure):
+    """EXPERIMENTS.md cites these files: each must be a default-size
+    run (25 workloads at every n = 5, 10, ..., 50)."""
+    lines = (RESULTS_DIR / f"{figure}.txt").read_text().splitlines()
+    assert "(25 workloads/point" in lines[0]
+    rows = lines[3:lines.index("")]
+    assert [int(row.split()[0]) for row in rows] == list(range(5, 51, 5))
+
+
+def test_smoke_keeps_explicit_out(tmp_path):
+    """``bench`` forwards a bare --smoke to each CLI benchmark's own
+    parser, which must not replace the outer --out."""
+    assert reproduce.main(["bench", "faults", "--smoke", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fault_sweep.txt").exists()
 
 
 def test_unknown_target_rejected():
@@ -49,31 +104,27 @@ def test_faults_no_defenses_flag(capsys):
     assert "defenses off" in out
 
 
-def test_ipc_target_leaves_sys_path_alone(capsys):
-    """A target imports nothing by cwd-relative path, so a later
-    ``import common`` cannot pick up whatever ``./benchmarks`` holds."""
+def test_ipc_target_leaves_sys_path_alone(tmp_path):
+    """Neither ``benchmarks/`` nor anything the nested pytest session
+    prepends stays on ``sys.path``, so a later ``import common`` cannot
+    pick up whatever a cwd-relative directory holds."""
     import sys
 
     before = list(sys.path)
-    assert reproduce.main(["ipc", "--quick"]) == 0
+    assert reproduce.main(["ipc", "--quick", "--out", str(tmp_path)]) == 0
     assert sys.path == before
 
 
-def test_default_runs_everything_quick_is_not_tested_here():
-    """Running all targets takes minutes; covered by the benchmarks."""
-    assert set(reproduce.TARGETS) >= {
-        "table1",
-        "table2",
-        "table3",
-        "figure2",
-        "figure3",
-        "figure4",
-        "figure5",
-        "figure11",
-        "ipc",
-        "cyclic",
-        "footprint",
+def test_every_artifact_names_a_benchmark(monkeypatch):
+    """Each paper artifact is an alias of a registered benchmark."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import common
+
+    assert set(reproduce.ARTIFACTS) == {
+        "table1", "table2", "table3", "figure2", "figure3", "figure4",
+        "figure5", "figure11", "ipc", "cyclic", "footprint", "validate",
     }
+    assert set(reproduce.ARTIFACTS.values()) <= set(common.BENCHMARKS)
 
 
 def test_trace_subcommand_exports_valid_chrome_trace(tmp_path, capsys):
@@ -142,21 +193,15 @@ def test_csd_policy_allocates_its_fp_queue():
     assert lengths[-1] > 0
 
 
-def test_every_benchmark_file_is_registered():
+def test_every_benchmark_file_is_registered(monkeypatch):
     """The explicit registry replaces source-grep discovery: every
     bench_*.py must be declared, and every declaration must exist."""
-    import sys
-    from pathlib import Path
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import common
 
-    bench_dir = Path(reproduce.__file__).parent.parent.parent / "benchmarks"
-    sys.path.insert(0, str(bench_dir))
-    try:
-        import common
-        on_disk = {p.stem[len("bench_"):] for p in bench_dir.glob("bench_*.py")}
-        assert on_disk == set(common.BENCHMARKS)
-        assert set(common.BENCHMARKS.values()) <= {"cli", "pytest"}
-    finally:
-        sys.path.remove(str(bench_dir))
+    on_disk = {p.stem[len("bench_"):] for p in BENCH_DIR.glob("bench_*.py")}
+    assert on_disk == set(common.BENCHMARKS)
+    assert set(common.BENCHMARKS.values()) <= {"cli", "pytest"}
 
 
 def test_every_cli_benchmark_accepts_smoke(monkeypatch):
@@ -164,7 +209,6 @@ def test_every_cli_benchmark_accepts_smoke(monkeypatch):
     benchmark, so each must parse it (the flag lives once, in
     ``bench_arg_parser``)."""
     import importlib
-    from pathlib import Path
 
     class Parsed(Exception):
         pass
@@ -175,8 +219,7 @@ def test_every_cli_benchmark_accepts_smoke(monkeypatch):
         seen.append(args)
         raise Parsed
 
-    bench_dir = Path(reproduce.__file__).parent.parent.parent / "benchmarks"
-    monkeypatch.syspath_prepend(str(bench_dir))
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
     import common
 
     for name, style in common.BENCHMARKS.items():
