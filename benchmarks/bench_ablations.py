@@ -19,12 +19,11 @@
    hook), so the comparison isolates the action itself.
 """
 
-from common import bench_workloads, publish
+from common import apply_bench_args, bench_arg_parser, bench_workloads, publish
 from repro.analysis import format_table
 from repro.core.overhead import OverheadModel
 from repro.core.rm import RMScheduler
 from repro.core.schedulability import csd_schedulable
-from repro.core.task import Workload
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Acquire, Compute, Program, Release, Wait
 from repro.sim.breakdown import breakdown_utilization
@@ -32,25 +31,19 @@ from repro.sim.workload import generate_base_workloads
 from repro.timeunits import ms, to_us, us
 
 
-def test_csd_queue_count_sweep(benchmark):
+def csd_queue_count_sweep():
     """CSD-x for x in 2..6 (plus EDF/RM as the endpoints' limits)."""
     model = OverheadModel()
     workloads = [
         w.with_periods_divided(2)
         for w in generate_base_workloads(30, min(bench_workloads(), 15), seed=5)
     ]
-
-    def sweep():
-        averages = {}
-        for policy in ("edf", "csd-2", "csd-3", "csd-4", "csd-5", "csd-6", "rm"):
-            total = sum(
-                breakdown_utilization(w, policy, model).utilization
-                for w in workloads
-            )
-            averages[policy] = 100 * total / len(workloads)
-        return averages
-
-    averages = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    averages = {}
+    for policy in ("edf", "csd-2", "csd-3", "csd-4", "csd-5", "csd-6", "rm"):
+        total = sum(
+            breakdown_utilization(w, policy, model).utilization for w in workloads
+        )
+        averages[policy] = 100 * total / len(workloads)
     publish(
         "ablation_queue_count",
         format_table(
@@ -65,37 +58,33 @@ def test_csd_queue_count_sweep(benchmark):
     assert averages["csd-6"] <= averages["csd-4"] + 1.0
 
 
-def test_allocation_search_vs_naive(benchmark):
+def allocation_search_vs_naive():
     """The offline search beats fixed naive allocations."""
     model = OverheadModel()
     workloads = [
         w.with_periods_divided(3)
         for w in generate_base_workloads(30, min(bench_workloads(), 15), seed=9)
     ]
+    searched = 0.0
+    all_dp = 0.0
+    half = 0.0
+    for w in workloads:
+        searched += breakdown_utilization(w, "csd-2", model).utilization
 
-    def evaluate():
-        searched = 0.0
-        all_dp = 0.0
-        half = 0.0
-        for w in workloads:
-            searched += breakdown_utilization(w, "csd-2", model).utilization
+        def naive_breakdown(splits):
+            lo, hi = 0.0, 1.0 / w.utilization
+            while hi - lo > 1e-3:
+                mid = (lo + hi) / 2
+                if csd_schedulable(w.scaled(mid), splits, model):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo * w.utilization
 
-            def naive_breakdown(splits):
-                lo, hi = 0.0, 1.0 / w.utilization
-                while hi - lo > 1e-3:
-                    mid = (lo + hi) / 2
-                    if csd_schedulable(w.scaled(mid), splits, model):
-                        lo = mid
-                    else:
-                        hi = mid
-                return lo * w.utilization
-
-            all_dp += naive_breakdown((len(w),))
-            half += naive_breakdown((len(w) // 2,))
-        n = len(workloads)
-        return 100 * searched / n, 100 * all_dp / n, 100 * half / n
-
-    searched, all_dp, half = benchmark.pedantic(evaluate, rounds=1, iterations=1)
+        all_dp += naive_breakdown((len(w),))
+        half += naive_breakdown((len(w) // 2,))
+    n = len(workloads)
+    searched, all_dp, half = 100 * searched / n, 100 * all_dp / n, 100 * half / n
     publish(
         "ablation_allocation",
         format_table(
@@ -147,22 +136,17 @@ def _fig6_kernel(use_hint_parking: bool, use_swap_pi: bool) -> Kernel:
     return kernel
 
 
-def test_sem_optimizations_independently(benchmark):
+def sem_optimizations_independently():
     """Ablate hint parking and the O(1) PI swap independently."""
-
-    def run_all():
-        results = {}
-        for parking in (False, True):
-            for swap in (False, True):
-                kernel = _fig6_kernel(parking, swap)
-                kernel.run_until(ms(2))
-                results[(parking, swap)] = (
-                    kernel.trace.kernel_time_total,
-                    kernel.trace.context_switches,
-                )
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {}
+    for parking in (False, True):
+        for swap in (False, True):
+            kernel = _fig6_kernel(parking, swap)
+            kernel.run_until(ms(2))
+            results[(parking, swap)] = (
+                kernel.trace.kernel_time_total,
+                kernel.trace.context_switches,
+            )
     rows = []
     for (parking, swap), (kernel_time, switches) in sorted(results.items()):
         rows.append(
@@ -190,24 +174,18 @@ def test_sem_optimizations_independently(benchmark):
     assert results[(False, True)][0] < baseline[0]  # swap saves PI time
 
 
-def test_heap_vs_queue_rm(benchmark):
+def heap_vs_queue_rm():
     """Table 1's third column as a breakdown-utilization effect."""
     model = OverheadModel()
     workloads = [
         w.with_periods_divided(3)
         for w in generate_base_workloads(20, 10, seed=2)
     ]
-
-    def evaluate():
-        queue = sum(
-            breakdown_utilization(w, "rm", model).utilization for w in workloads
-        )
-        heap = sum(
-            breakdown_utilization(w, "rm-heap", model).utilization for w in workloads
-        )
-        return 100 * queue / len(workloads), 100 * heap / len(workloads)
-
-    queue, heap = benchmark.pedantic(evaluate, rounds=1, iterations=1)
+    queue = sum(breakdown_utilization(w, "rm", model).utilization for w in workloads)
+    heap = sum(
+        breakdown_utilization(w, "rm-heap", model).utilization for w in workloads
+    )
+    queue, heap = 100 * queue / len(workloads), 100 * heap / len(workloads)
     publish(
         "ablation_heap",
         format_table(
@@ -220,7 +198,7 @@ def test_heap_vs_queue_rm(benchmark):
     assert queue >= heap
 
 
-def test_defense_ablation_shared_prefix(benchmark):
+def defense_ablation_shared_prefix():
     """Budget actions ablated from one shared warm-up snapshot.
 
     All (action, seed) variants share the defended fault-free warm-up;
@@ -238,7 +216,6 @@ def test_defense_ablation_shared_prefix(benchmark):
         run_chaos,
     )
     from repro.perf.sweeps import PrefixSpec, prefix_map
-    from repro.timeunits import ms
 
     duration, warmup = ms(2000), ms(1500)
     rate = 100.0
@@ -274,9 +251,7 @@ def test_defense_ablation_shared_prefix(benchmark):
 
         return spec, continuation
 
-    outcomes = benchmark.pedantic(
-        lambda: prefix_map(plan, cases), rounds=1, iterations=1
-    )
+    outcomes = prefix_map(plan, cases)
     by_action = {}
     rows = []
     for action in actions:
@@ -329,3 +304,17 @@ def test_defense_ablation_shared_prefix(benchmark):
     assert mean(by_action["warn"], lambda r: r.miss_ratio) >= mean(
         by_action["suspend_job"], lambda r: r.miss_ratio
     )
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    csd_queue_count_sweep()
+    allocation_search_vs_naive()
+    sem_optimizations_independently()
+    heap_vs_queue_rm()
+    defense_ablation_shared_prefix()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

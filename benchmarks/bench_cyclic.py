@@ -12,9 +12,7 @@ This benchmark makes each claim measurable:
    legal cyclic schedule at all.
 """
 
-import pytest
-
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.cyclic import CyclicScheduleError, build_cyclic_schedule
 from repro.core.edf import EDFScheduler
@@ -32,31 +30,27 @@ def wl(*pairs_ms):
     )
 
 
-def test_table_size_blowup(benchmark):
-    def measure():
-        rows = []
-        cases = [
-            ("harmonic 10/20/40", wl((10, 1), (20, 2), (40, 2))),
-            ("mixed 10/25/50", wl((10, 1), (25, 2), (50, 2))),
-            ("prime 7/11/13", wl((7, 1), (11, 1), (13, 1))),
-            ("prime 7/11/13/17", wl((7, 1), (11, 1), (13, 1), (17, 1))),
-        ]
-        for name, w in cases:
-            try:
-                schedule = build_cyclic_schedule(w)
-                rows.append(
-                    [
-                        name,
-                        f"{to_ms(schedule.hyperperiod):.0f}",
-                        schedule.table_entries,
-                        schedule.table_bytes,
-                    ]
-                )
-            except CyclicScheduleError as exc:
-                rows.append([name, "-", "-", f"UNSCHEDULABLE ({exc})"])
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+def table_size_blowup():
+    rows = []
+    cases = [
+        ("harmonic 10/20/40", wl((10, 1), (20, 2), (40, 2))),
+        ("mixed 10/25/50", wl((10, 1), (25, 2), (50, 2))),
+        ("prime 7/11/13", wl((7, 1), (11, 1), (13, 1))),
+        ("prime 7/11/13/17", wl((7, 1), (11, 1), (13, 1), (17, 1))),
+    ]
+    for name, w in cases:
+        try:
+            schedule = build_cyclic_schedule(w)
+            rows.append(
+                [
+                    name,
+                    f"{to_ms(schedule.hyperperiod):.0f}",
+                    schedule.table_entries,
+                    schedule.table_bytes,
+                ]
+            )
+        except CyclicScheduleError as exc:
+            rows.append([name, "-", "-", f"UNSCHEDULABLE ({exc})"])
     publish(
         "cyclic_table_size",
         format_table(
@@ -75,33 +69,26 @@ def test_table_size_blowup(benchmark):
     assert prime_bytes > 20 * harmonic_bytes
 
 
-def test_aperiodic_response(benchmark):
+def aperiodic_response():
     """Aperiodic response: frame slack vs immediate priority dispatch."""
     w = wl((10, 4), (20, 8))  # U = 0.8
     aperiodic_cost = ms(2)
+    schedule = build_cyclic_schedule(w)
+    cyclic_response = schedule.worst_case_aperiodic_response(aperiodic_cost)
 
-    def measure():
-        schedule = build_cyclic_schedule(w)
-        cyclic_response = schedule.worst_case_aperiodic_response(aperiodic_cost)
-
-        # The same aperiodic job under EDF with a tight deadline: build
-        # the periodic load, release the aperiodic at the worst phase
-        # (right after both periodic releases), measure completion.
-        kernel = Kernel(EDFScheduler(OverheadModel()))
-        for t in w:
-            kernel.create_thread(t.name, Program([Compute(t.wcet)]), period=t.period)
-        kernel.create_thread(
-            "aperiodic", Program([Compute(aperiodic_cost)]),
-            priority=0, deadline=ms(5),
-        )
-        kernel.activate("aperiodic", at=us(10))
-        trace = kernel.run_until(ms(100))
-        job = trace.jobs_of("aperiodic")[0]
-        return cyclic_response, job.response_time
-
-    cyclic_response, priority_response = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    # The same aperiodic job under EDF with a tight deadline: build
+    # the periodic load, release the aperiodic at the worst phase
+    # (right after both periodic releases), measure completion.
+    kernel = Kernel(EDFScheduler(OverheadModel()))
+    for t in w:
+        kernel.create_thread(t.name, Program([Compute(t.wcet)]), period=t.period)
+    kernel.create_thread(
+        "aperiodic", Program([Compute(aperiodic_cost)]),
+        priority=0, deadline=ms(5),
     )
+    kernel.activate("aperiodic", at=us(10))
+    trace = kernel.run_until(ms(100))
+    priority_response = trace.jobs_of("aperiodic")[0].response_time
     publish(
         "cyclic_aperiodic",
         format_table(
@@ -116,26 +103,33 @@ def test_aperiodic_response(benchmark):
     assert cyclic_response > 2 * priority_response
 
 
-def test_brittleness(benchmark):
+def brittleness():
     """Workloads any priority scheduler handles can defeat the cyclic
     executive entirely (no legal frame / table too large)."""
     from repro.core.schedulability import edf_schedulable
 
     w = wl((9.97, 0.5), (11.19, 0.5), (13.01, 0.5), (17.03, 0.5))
-
-    def measure():
-        edf_ok = edf_schedulable(w)
-        try:
-            build_cyclic_schedule(w)
-            cyclic_ok = True
-        except CyclicScheduleError:
-            cyclic_ok = False
-        return edf_ok, cyclic_ok
-
-    edf_ok, cyclic_ok = benchmark.pedantic(measure, rounds=1, iterations=1)
+    edf_ok = edf_schedulable(w)
+    try:
+        build_cyclic_schedule(w)
+        cyclic_ok = True
+    except CyclicScheduleError:
+        cyclic_ok = False
     publish(
         "cyclic_brittleness",
         f"EDF schedulable: {edf_ok}; cyclic executive schedulable: {cyclic_ok} "
         "(U = 0.17, but the periods are nearly relatively prime)",
     )
     assert edf_ok and not cyclic_ok
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    table_size_blowup()
+    aperiodic_response()
+    brittleness()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

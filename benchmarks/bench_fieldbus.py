@@ -8,7 +8,7 @@ latency stays near the wire minimum no matter how much low-priority
 traffic contends.
 """
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import ZERO_OVERHEAD
@@ -67,23 +67,19 @@ def run_cluster(background_senders: int, horizon=ms(500)):
     return cluster, latencies
 
 
-def test_latency_vs_load(benchmark):
-    def sweep():
-        rows = []
-        for n_bg in (0, 2, 5, 8):
-            cluster, latencies = run_cluster(n_bg)
-            assert latencies
-            rows.append(
-                (
-                    n_bg,
-                    100 * cluster.bus.utilization(ms(500)),
-                    min(latencies),
-                    max(latencies),
-                )
+def latency_vs_load():
+    rows = []
+    for n_bg in (0, 2, 5, 8):
+        cluster, latencies = run_cluster(n_bg)
+        assert latencies
+        rows.append(
+            (
+                n_bg,
+                100 * cluster.bus.utilization(ms(500)),
+                min(latencies),
+                max(latencies),
             )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        )
     publish(
         "fieldbus_latency",
         format_table(
@@ -108,3 +104,13 @@ def test_latency_vs_load(benchmark):
         assert hi <= 2 * wire + us(200)
     # Load actually grew across the sweep.
     assert rows[-1][1] > rows[0][1]
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    latency_vs_load()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

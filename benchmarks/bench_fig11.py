@@ -14,9 +14,7 @@ to them -- see ``repro.core.overhead``):
   implementation costs 39.8 us (10.4 us / 26% saving).
 """
 
-import pytest
-
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import ascii_series
 from repro.sim.semexp import figure11_series, measure_pair_overhead
 from repro.timeunits import to_us, us
@@ -24,10 +22,8 @@ from repro.timeunits import to_us, us
 LENGTHS = tuple(range(3, 31, 3))
 
 
-def test_figure11_dp_queue(benchmark):
-    rows = benchmark.pedantic(
-        lambda: figure11_series("dp", LENGTHS), rounds=1, iterations=1
-    )
+def figure11_dp_queue():
+    rows = figure11_series("dp", LENGTHS)
     publish(
         "figure11_dp",
         ascii_series(
@@ -45,10 +41,8 @@ def test_figure11_dp_queue(benchmark):
     assert by_n[15][2] == us(28.3)
 
 
-def test_figure11_fp_queue(benchmark):
-    rows = benchmark.pedantic(
-        lambda: figure11_series("fp", LENGTHS), rounds=1, iterations=1
-    )
+def figure11_fp_queue():
+    rows = figure11_series("fp", LENGTHS)
     publish(
         "figure11_fp",
         ascii_series(
@@ -66,17 +60,11 @@ def test_figure11_fp_queue(benchmark):
     assert rows[-1][1] > rows[0][1]
 
 
-def test_fig11_headline_numbers(benchmark):
-    def measure():
-        dp_std = measure_pair_overhead("dp", "standard", 15).overhead_ns
-        dp_new = measure_pair_overhead("dp", "emeralds", 15).overhead_ns
-        fp_std = measure_pair_overhead("fp", "standard", 15).overhead_ns
-        fp_new = measure_pair_overhead("fp", "emeralds", 15).overhead_ns
-        return dp_std, dp_new, fp_std, fp_new
-
-    dp_std, dp_new, fp_std, fp_new = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+def fig11_headline_numbers():
+    dp_std = measure_pair_overhead("dp", "standard", 15).overhead_ns
+    dp_new = measure_pair_overhead("dp", "emeralds", 15).overhead_ns
+    fp_std = measure_pair_overhead("fp", "standard", 15).overhead_ns
+    fp_new = measure_pair_overhead("fp", "emeralds", 15).overhead_ns
     publish(
         "figure11_headline",
         "\n".join(
@@ -95,3 +83,15 @@ def test_fig11_headline_numbers(benchmark):
     )
     assert (dp_std - dp_new) == us(11)
     assert (fp_std - fp_new) == us(10.4)
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    figure11_dp_queue()
+    figure11_fp_queue()
+    fig11_headline_numbers()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

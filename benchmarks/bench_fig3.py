@@ -11,24 +11,27 @@ Base workloads draw periods from the Section 5.7 mix (5-9 ms, 10-99 ms,
   improves on CSD-3.
 """
 
-from common import bench_task_counts, bench_workloads, publish
+from common import (
+    apply_bench_args,
+    bench_arg_parser,
+    bench_task_counts,
+    bench_workloads,
+    publish,
+)
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
 POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
 
 
-def test_figure3(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            period_divisor=1,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def figure3():
+    series = figure_series(
+        bench_task_counts(),
+        POLICIES,
+        workloads_per_point=bench_workloads(),
+        seed=1,
+        period_divisor=1,
+    )
     publish(
         "figure3",
         ascii_series(
@@ -51,3 +54,13 @@ def test_figure3(benchmark):
     assert abs(by["csd-4"][last] - by["csd-3"][last]) < 3.0
     # EDF close to ideal at small n with long periods.
     assert by["edf"][0] > 90.0
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    figure3()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,24 +6,27 @@ to EDF, and CSD beats both ("for n = 40, CSD-4 has 50% lower overhead
 than RM, which in turn has lower overhead than EDF for this large n").
 """
 
-from common import bench_task_counts, bench_workloads, publish
+from common import (
+    apply_bench_args,
+    bench_arg_parser,
+    bench_task_counts,
+    bench_workloads,
+    publish,
+)
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
 POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
 
 
-def test_figure4(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            period_divisor=2,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def figure4():
+    series = figure_series(
+        bench_task_counts(),
+        POLICIES,
+        workloads_per_point=bench_workloads(),
+        seed=1,
+        period_divisor=2,
+    )
     publish(
         "figure4",
         ascii_series(
@@ -49,3 +52,13 @@ def test_figure4(benchmark):
     gap_small = by["edf"][first] - by["rm"][first]
     gap_large = by["edf"][last] - by["rm"][last]
     assert gap_large < gap_small
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    figure4()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

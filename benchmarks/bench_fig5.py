@@ -5,24 +5,27 @@ paper's finding: "these short periods allow RM to quickly overtake
 EDF.  Nevertheless, CSD continues to be superior to both."
 """
 
-from common import bench_task_counts, bench_workloads, publish
+from common import (
+    apply_bench_args,
+    bench_arg_parser,
+    bench_task_counts,
+    bench_workloads,
+    publish,
+)
 from repro.analysis import ascii_series
 from repro.sim.breakdown import figure_series
 
 POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
 
 
-def test_figure5(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            period_divisor=3,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def figure5():
+    series = figure_series(
+        bench_task_counts(),
+        POLICIES,
+        workloads_per_point=bench_workloads(),
+        seed=1,
+        period_divisor=3,
+    )
     publish(
         "figure5",
         ascii_series(
@@ -45,3 +48,13 @@ def test_figure5(benchmark):
     assert by["csd-3"][last] > by["edf"][last]
     # CSD-2 -> CSD-3 is a significant improvement at large n.
     assert by["csd-3"][last] >= by["csd-2"][last] - 0.5
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    figure5()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,7 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import ZERO_OVERHEAD
@@ -22,28 +22,24 @@ from repro.kernel.kernel import Kernel
 sys.path.insert(0, str(Path(__file__).parent.parent / "examples"))
 
 
-def test_example_footprints(benchmark):
-    def account():
-        rows = []
-        for name in ("quickstart", "engine_control", "voice_pipeline"):
-            module = importlib.import_module(name)
-            if name == "engine_control":
-                kernel = module.build_kernel("emeralds")
-            else:
-                kernel = module.build_kernel()
-            report = kernel_footprint(kernel)
-            rows.append(
-                [
-                    name,
-                    report.data_bytes,
-                    report.total_bytes,
-                    "yes" if report.fits(32 * 1024) else "NO",
-                    "yes" if report.fits(128 * 1024) else "NO",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(account, rounds=1, iterations=1)
+def example_footprints():
+    rows = []
+    for name in ("quickstart", "engine_control", "voice_pipeline"):
+        module = importlib.import_module(name)
+        if name == "engine_control":
+            kernel = module.build_kernel("emeralds")
+        else:
+            kernel = module.build_kernel()
+        report = kernel_footprint(kernel)
+        rows.append(
+            [
+                name,
+                report.data_bytes,
+                report.total_bytes,
+                "yes" if report.fits(32 * 1024) else "NO",
+                "yes" if report.fits(128 * 1024) else "NO",
+            ]
+        )
     publish(
         "footprint",
         format_table(
@@ -61,25 +57,20 @@ def test_example_footprints(benchmark):
     assert rows[0][3] == "yes"  # quickstart fits 32 KB
 
 
-def test_state_message_memory_tradeoff(benchmark):
+def state_message_memory_tradeoff():
     """Distributing one value to k readers: k mailboxes of depth d vs
     one N-slot channel.  The state message wins on RAM too."""
+    rows = []
+    for readers in (2, 4, 8):
+        mk = Kernel(EDFScheduler(ZERO_OVERHEAD))
+        for i in range(readers):
+            mk.create_mailbox(f"m{i}", capacity=4, max_message_size=16)
+        mailbox_bytes = kernel_footprint(mk).data_bytes
 
-    def account():
-        rows = []
-        for readers in (2, 4, 8):
-            mk = Kernel(EDFScheduler(ZERO_OVERHEAD))
-            for i in range(readers):
-                mk.create_mailbox(f"m{i}", capacity=4, max_message_size=16)
-            mailbox_bytes = kernel_footprint(mk).data_bytes
-
-            sk = Kernel(EDFScheduler(ZERO_OVERHEAD))
-            sk.create_channel("c", slots=4)
-            state_bytes = kernel_footprint(sk).data_bytes
-            rows.append([readers, mailbox_bytes, state_bytes])
-        return rows
-
-    rows = benchmark.pedantic(account, rounds=1, iterations=1)
+        sk = Kernel(EDFScheduler(ZERO_OVERHEAD))
+        sk.create_channel("c", slots=4)
+        state_bytes = kernel_footprint(sk).data_bytes
+        rows.append([readers, mailbox_bytes, state_bytes])
     publish(
         "footprint_ipc",
         format_table(
@@ -93,3 +84,14 @@ def test_state_message_memory_tradeoff(benchmark):
     # Mailbox memory grows with readers; the channel does not.
     assert rows[-1][1] > rows[0][1]
     assert rows[-1][2] == rows[0][2]
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    example_footprints()
+    state_message_memory_tradeoff()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

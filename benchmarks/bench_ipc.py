@@ -15,7 +15,7 @@ the reader count and of the message size (mailbox copies are per-byte;
 state-message slots are fixed).
 """
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel
@@ -78,23 +78,19 @@ def _ipc_time(trace) -> int:
     )
 
 
-def test_ipc_vs_reader_count(benchmark):
-    def sweep():
-        rows = []
-        for readers in (1, 2, 4, 8):
-            mbox = run_mailbox(readers, size=16)
-            state = run_state_message(readers, size=16)
-            rows.append(
-                [
-                    readers,
-                    f"{to_us(round(mbox)):.1f}",
-                    f"{to_us(round(state)):.1f}",
-                    f"{mbox / state:.2f}x",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def ipc_vs_reader_count():
+    rows = []
+    for readers in (1, 2, 4, 8):
+        mbox = run_mailbox(readers, size=16)
+        state = run_state_message(readers, size=16)
+        rows.append(
+            [
+                readers,
+                f"{to_us(round(mbox)):.1f}",
+                f"{to_us(round(state)):.1f}",
+                f"{mbox / state:.2f}x",
+            ]
+        )
     publish(
         "ipc_readers",
         format_table(
@@ -109,18 +105,12 @@ def test_ipc_vs_reader_count(benchmark):
     assert ratios[-1] > ratios[0]
 
 
-def test_ipc_vs_message_size(benchmark):
-    def sweep():
-        rows = []
-        for size in (8, 32, 128, 512):
-            mbox = run_mailbox(2, size=size)
-            state = run_state_message(2, size=size)
-            rows.append(
-                [size, f"{to_us(round(mbox)):.1f}", f"{to_us(round(state)):.1f}"]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def ipc_vs_message_size():
+    rows = []
+    for size in (8, 32, 128, 512):
+        mbox = run_mailbox(2, size=size)
+        state = run_state_message(2, size=size)
+        rows.append([size, f"{to_us(round(mbox)):.1f}", f"{to_us(round(state)):.1f}"])
     publish(
         "ipc_sizes",
         format_table(
@@ -136,21 +126,29 @@ def test_ipc_vs_message_size(benchmark):
     assert state_costs[-1] == state_costs[0]
 
 
-def test_state_message_has_no_traps(benchmark):
-    def run():
-        kernel = Kernel(EDFScheduler(OverheadModel()))
-        kernel.create_channel("c", slots=4)
-        kernel.create_thread(
-            "writer", Program([StateWrite("c", value=1)]), period=ms(10),
-            deadline=ms(2),
-        )
-        kernel.create_thread(
-            "reader", Program([StateRead("c")]), period=ms(10), deadline=ms(5)
-        )
-        trace = kernel.run_until(ms(200))
-        return trace
-
-    trace = benchmark.pedantic(run, rounds=1, iterations=1)
+def state_message_has_no_traps():
+    kernel = Kernel(EDFScheduler(OverheadModel()))
+    kernel.create_channel("c", slots=4)
+    kernel.create_thread(
+        "writer", Program([StateWrite("c", value=1)]), period=ms(10),
+        deadline=ms(2),
+    )
+    kernel.create_thread(
+        "reader", Program([StateRead("c")]), period=ms(10), deadline=ms(5)
+    )
+    trace = kernel.run_until(ms(200))
     assert trace.kernel_time.get("syscall", 0) == 0
     assert trace.kernel_time.get("ipc", 0) == 0
     assert trace.kernel_time["state-msg"] > 0
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    ipc_vs_reader_count()
+    ipc_vs_message_size()
+    state_message_has_no_traps()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -13,7 +13,7 @@ signed trajectory entries come from ``python -m repro.reproduce perf
 --check --append`` (``BENCH_kernel.json``), not from this benchmark.
 """
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.overhead import OverheadModel
 from repro.perf.workloads import (
@@ -31,7 +31,7 @@ def _scheduler_time(trace) -> int:
     )
 
 
-def test_scheduler_overhead_in_live_kernel(benchmark):
+def scheduler_overhead_in_live_kernel():
     model = OverheadModel()
     # Short periods invoke the scheduler often -- the regime where the
     # paper's savings are largest (Figure 5).
@@ -39,22 +39,17 @@ def test_scheduler_overhead_in_live_kernel(benchmark):
     splits = min_overhead_splits(workload, 2, model)
     assert splits is not None
     horizon = HORIZON_NS
-
-    def run():
-        results = {}
-        for policy, sp in (("edf", None), ("rm", None), ("csd-3", splits)):
-            kernel, trace = simulate_workload(
-                workload, policy, duration=horizon, model=model,
-                splits=sp, record="jobs-only",
-            )
-            results[policy] = (
-                _scheduler_time(trace),
-                trace.context_switches,
-                len(trace.deadline_violations(kernel.now)),
-            )
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {}
+    for policy, sp in (("edf", None), ("rm", None), ("csd-3", splits)):
+        kernel, trace = simulate_workload(
+            workload, policy, duration=horizon, model=model,
+            splits=sp, record="jobs-only",
+        )
+        results[policy] = (
+            _scheduler_time(trace),
+            trace.context_switches,
+            len(trace.deadline_violations(kernel.now)),
+        )
     rows = []
     edf_time = results["edf"][0]
     for policy, (sched_ns, switches, misses) in results.items():
@@ -87,3 +82,13 @@ def test_scheduler_overhead_in_live_kernel(benchmark):
     assert reduction > 0.10
     # No policy may miss deadlines on this comfortably feasible set.
     assert all(misses == 0 for _, _, misses in results.values())
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    scheduler_overhead_in_live_kernel()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,7 +7,7 @@ DP queue (no misses; their Gantt charts close
 ``figure2_alternatives.txt``).
 """
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.overhead import ZERO_OVERHEAD
 from repro.core.task import table2_workload
@@ -22,15 +22,10 @@ def gantt(trace) -> str:
     )
 
 
-def test_figure2_rm_trace(benchmark):
-    workload = table2_workload()
-
-    def run():
-        return simulate_workload(
-            workload, "rm", duration=ms(40), model=ZERO_OVERHEAD
-        )
-
-    kernel, trace = benchmark(run)
+def figure2_rm_trace():
+    kernel, trace = simulate_workload(
+        table2_workload(), "rm", duration=ms(40), model=ZERO_OVERHEAD
+    )
     misses = sorted({j.thread for j in trace.deadline_violations(kernel.now)})
     publish(
         "figure2_rm",
@@ -41,19 +36,14 @@ def test_figure2_rm_trace(benchmark):
     assert misses == ["tau5"]
 
 
-def test_figure2_edf_and_csd(benchmark):
+def figure2_edf_and_csd():
     workload = table2_workload()
-
-    def run():
-        return {
-            policy: simulate_workload(
-                workload, policy, duration=ms(200),
-                model=ZERO_OVERHEAD, splits=splits,
-            )
-            for policy, splits in (("edf", None), ("csd-2", (5,)))
-        }
-
-    runs = benchmark(run)
+    runs = {
+        policy: simulate_workload(
+            workload, policy, duration=ms(200), model=ZERO_OVERHEAD, splits=splits
+        )
+        for policy, splits in (("edf", None), ("csd-2", (5,)))
+    }
     misses = {p: len(t.deadline_violations(k.now)) for p, (k, t) in runs.items()}
     table = format_table(
         ["policy", "deadline misses in 200 ms"],
@@ -69,8 +59,8 @@ def test_figure2_edf_and_csd(benchmark):
     assert misses == {"edf": 0, "csd-2": 0}
 
 
-def test_table2_workload_properties(benchmark):
-    workload = benchmark(table2_workload)
+def table2_workload_properties():
+    workload = table2_workload()
     rows = [
         [t.name, t.period / 1e6, t.wcet / 1e6, f"{t.utilization:.3f}"]
         for t in workload
@@ -85,3 +75,15 @@ def test_table2_workload_properties(benchmark):
         ),
     )
     assert abs(workload.utilization - 0.88) < 0.01
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    figure2_rm_trace()
+    figure2_edf_and_csd()
+    table2_workload_properties()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,9 +11,7 @@ We regenerate it two ways:
   and n to confirm each O(.) entry.
 """
 
-import pytest
-
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.core.csd import CSDScheduler
 from repro.core.overhead import OverheadModel
@@ -52,22 +50,17 @@ def measured_costs(q, r, n):
     return out
 
 
-def test_table3_structure(benchmark):
+def table3_structure():
     model = OverheadModel()
-
-    def analytic():
-        rows = []
-        sizes = [8, 12, 20]  # q=8, r=20, n=40
-        for band, idx, asymptotic in (
-            ("DP1", 0, "O(r)"),
-            ("DP2", 1, "O(2r - q)"),
-            ("FP", 2, "O(n - q)"),
-        ):
-            per = csd_overhead_per_period(model, sizes, idx)
-            rows.append([band, asymptotic, f"{to_us(per):.1f}"])
-        return rows
-
-    rows = benchmark(analytic)
+    rows = []
+    sizes = [8, 12, 20]  # q=8, r=20, n=40
+    for band, idx, asymptotic in (
+        ("DP1", 0, "O(r)"),
+        ("DP2", 1, "O(2r - q)"),
+        ("FP", 2, "O(n - q)"),
+    ):
+        per = csd_overhead_per_period(model, sizes, idx)
+        rows.append([band, asymptotic, f"{to_us(per):.1f}"])
     publish(
         "table3",
         format_table(
@@ -78,81 +71,70 @@ def test_table3_structure(benchmark):
     )
 
 
-def test_dp1_block_is_constant_in_n(benchmark):
+def dp1_block_is_constant_in_n():
     """DP task t_b is O(1): independent of every queue size."""
-
-    def measure():
-        small = measured_costs(3, 6, 12)["DP1"][0]
-        large = measured_costs(3, 6, 60)["DP1"][0]
-        return small, large
-
-    small, large = benchmark(measure)
+    small = measured_costs(3, 6, 12)["DP1"][0]
+    large = measured_costs(3, 6, 60)["DP1"][0]
     assert small == large
 
 
-def test_fp_block_scales_with_fp_queue(benchmark):
+def fp_block_scales_with_fp_queue():
     """FP task t_b is O(n - r): grows with the FP queue only."""
-    model = OverheadModel()
-
-    def measure():
-        a = measured_costs(3, 6, 16)["FP"][0]   # fp size 10
-        b = measured_costs(3, 6, 26)["FP"][0]   # fp size 20
-        return a, b
-
-    a, b = benchmark(measure)
-    assert b - a == 10 * model.rm_block_per_task_ns
+    a = measured_costs(3, 6, 16)["FP"][0]   # fp size 10
+    b = measured_costs(3, 6, 26)["FP"][0]   # fp size 20
+    assert b - a == 10 * OverheadModel().rm_block_per_task_ns
 
 
-def test_selection_parses_first_live_dp_queue(benchmark):
+def selection_parses_first_live_dp_queue():
     """After a DP1 task blocks with DP1 still live, selection parses
     DP1 (O(q)); with DP1 empty it parses DP2 (O(r - q))."""
     model = OverheadModel()
-
-    def measure():
-        sched, entries = build_csd3(5, 15, 20)
-        # All DP1 ready: block one, selector parses DP1 (len 5).
-        sched.on_block(entries[0])
-        _, ts_live = sched.select()
-        # Now block the rest of DP1: selector must parse DP2 (len 10).
-        for e in entries[1:5]:
-            sched.on_block(e)
-        _, ts_empty = sched.select()
-        return ts_live, ts_empty
-
-    ts_live, ts_empty = benchmark(measure)
+    sched, entries = build_csd3(5, 15, 20)
+    # All DP1 ready: block one, selector parses DP1 (len 5).
+    sched.on_block(entries[0])
+    _, ts_live = sched.select()
+    # Now block the rest of DP1: selector must parse DP2 (len 10).
+    for e in entries[1:5]:
+        sched.on_block(e)
+    _, ts_empty = sched.select()
     parse = 3 * model.queue_parse_ns
     assert ts_live == parse + model.edf_select(5)
     assert ts_empty == parse + model.edf_select(10)
 
 
-def test_fp_selection_constant_when_no_dp_ready(benchmark):
+def fp_selection_constant_when_no_dp_ready():
     model = OverheadModel()
-
-    def measure():
-        sched, entries = build_csd3(2, 4, 30)
-        for e in entries[:4]:
-            sched.on_block(e)
-        _, ts = sched.select()
-        return ts
-
-    ts = benchmark(measure)
+    sched, entries = build_csd3(2, 4, 30)
+    for e in entries[:4]:
+        sched.on_block(e)
+    _, ts = sched.select()
     assert ts == 3 * model.queue_parse_ns + model.rm_select(26)
 
 
-def test_splitting_reduces_dp1_costs(benchmark):
+def splitting_reduces_dp1_costs():
     """The CSD-3 motivation: splitting the DP queue reduces the
     overhead of the shortest-period tasks (Section 5.5.1)."""
     model = OverheadModel()
-
-    def measure():
-        csd2 = csd_overhead_per_period(model, [20, 20], 0)
-        csd3 = csd_overhead_per_period(model, [10, 10, 20], 0)
-        return csd2, csd3
-
-    csd2, csd3 = benchmark(measure)
+    csd2 = csd_overhead_per_period(model, [20, 20], 0)
+    csd3 = csd_overhead_per_period(model, [10, 10, 20], 0)
     publish(
         "table3_split_gain",
         f"CSD-2 DP-task per-period overhead (r=20): {to_us(csd2):.1f} us\n"
         f"CSD-3 DP1-task per-period overhead (q=10, r=20): {to_us(csd3):.1f} us",
     )
     assert csd3 < csd2
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    table3_structure()
+    dp1_block_is_constant_in_n()
+    fp_block_scales_with_fp_queue()
+    selection_parses_first_live_dp_queue()
+    fp_selection_constant_when_no_dp_ready()
+    splitting_reduces_dp1_costs()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,32 +8,28 @@ the analysis is operationally sound -- the analytic curves could be
 regenerated (much more slowly) by pure simulation.
 """
 
-from common import publish
+from common import apply_bench_args, bench_arg_parser, publish
 from repro.analysis import format_table
 from repro.sim.validate import validate_breakdown
 from repro.sim.workload import generate_workload
 
 
-def test_validation_table(benchmark):
-    def run():
-        rows = []
-        clean = True
-        for policy in ("edf", "rm", "csd-2", "csd-3"):
-            for seed in (0, 1, 2):
-                w = generate_workload(6, seed=seed, utilization=0.5)
-                result = validate_breakdown(w, policy)
-                rows.append(
-                    [
-                        policy,
-                        seed,
-                        f"{100 * result.breakdown_utilization:.1f}%",
-                        "clean" if result.sound else f"{result.violations} MISSES",
-                    ]
-                )
-                clean = clean and result.sound
-        return rows, clean
-
-    rows, clean = benchmark.pedantic(run, rounds=1, iterations=1)
+def validation_table():
+    rows = []
+    clean = True
+    for policy in ("edf", "rm", "csd-2", "csd-3"):
+        for seed in (0, 1, 2):
+            w = generate_workload(6, seed=seed, utilization=0.5)
+            result = validate_breakdown(w, policy)
+            rows.append(
+                [
+                    policy,
+                    seed,
+                    f"{100 * result.breakdown_utilization:.1f}%",
+                    "clean" if result.sound else f"{result.violations} MISSES",
+                ]
+            )
+            clean = clean and result.sound
     publish(
         "validation",
         format_table(
@@ -43,3 +39,13 @@ def test_validation_table(benchmark):
         ),
     )
     assert clean
+
+
+def main(argv=None) -> int:
+    apply_bench_args(bench_arg_parser(description=__doc__).parse_args(argv))
+    validation_table()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

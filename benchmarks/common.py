@@ -1,22 +1,22 @@
 """Shared plumbing for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures and
-writes the rendered text into ``benchmarks/results/`` (so the output
-survives pytest's capture) in addition to printing it.
+Every ``bench_<name>.py`` is a script whose ``main(argv) -> int``
+regenerates one of the paper's tables or figures (or one extension
+measurement), asserts its claims, prints the rendered text and writes
+it into ``benchmarks/results/``.  ``reproduce bench <name>`` calls the
+same ``main`` in-process.
 
-All benchmarks read their knobs from one place -- here -- either as
-environment variables (how the pytest-run benchmarks are configured)
-or through :func:`bench_arg_parser`, which gives standalone benchmark
-CLIs and ``reproduce bench`` the same ``--out/--workers/--smoke``
-flags and writes them back into the environment so the env-based
-getters agree.  The CLIs that measure a committed ``BENCH_*.json``
-trajectory take their ``--check/--append`` flags from
+All benchmarks read their knobs from one place -- here -- as
+environment variables.  :func:`bench_arg_parser` gives every script
+and ``reproduce bench`` the same ``--out/--workers/--smoke`` flags, and
+:func:`apply_bench_args` writes them back into the environment so the
+env-based getters agree.  The scripts that measure a committed
+``BENCH_*.json`` trajectory take their ``--check/--append`` flags from
 :mod:`repro.perf.trajectory`.
 
-``--smoke`` (``reproduce --quick``) is the shrunken pass: each CLI
-benchmark shrinks its own grid, the pytest-style ones get the smoke
-sizes below and run each ``benchmark(fn)`` once under ``reproduce
-bench``, and nothing overwrites the committed results -- output goes
+``--smoke`` (``reproduce --quick``) is the shrunken pass: some scripts
+shrink their own grid, the Figures 3-5 sweeps get the smoke sizes
+below, and nothing overwrites the committed results -- output goes
 into the gitignored ``benchmarks/results/smoke/`` unless ``--out``
 (or ``REPRO_BENCH_OUT``) names a directory.
 
@@ -45,34 +45,6 @@ from typing import List, Optional
 from repro.perf.sweeps import WORKERS_ENV
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Explicit registry of every benchmark: name -> invocation style.
-#: ``"cli"`` modules expose ``main(argv) -> int`` and are called
-#: in-process by ``reproduce bench``; ``"pytest"`` modules are
-#: collected as test files.  Every ``bench_<name>.py`` in this
-#: directory MUST appear here (enforced by a test) -- discovery by
-#: source-grepping is gone.
-BENCHMARKS = {
-    "ablations": "pytest",
-    "cluster": "cli",
-    "cyclic": "pytest",
-    "faults": "cli",
-    "fieldbus": "pytest",
-    "fig11": "pytest",
-    "fig3": "pytest",
-    "fig4": "pytest",
-    "fig5": "pytest",
-    "footprint": "pytest",
-    "ipc": "pytest",
-    "kernel_overhead": "pytest",
-    "net_faults": "cli",
-    "obs": "cli",
-    "sweeps": "cli",
-    "table1": "pytest",
-    "table2_fig2": "pytest",
-    "table3": "pytest",
-    "validation": "pytest",
-}
 
 
 def bench_workloads() -> int:

@@ -59,10 +59,6 @@ class FaultInjector:
     def _count(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
 
-    @property
-    def injected_total(self) -> int:
-        return sum(self.injected.values())
-
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------

@@ -140,10 +140,6 @@ class StateChannel:
             )
         return slot[1]
 
-    @property
-    def latest_index(self) -> int:
-        return self._latest
-
     def __repr__(self) -> str:
         return (
             f"<StateChannel {self.name}: {self.slots} slots, "

@@ -160,10 +160,6 @@ class CanErrorState:
         self.transitions.append((now, state))
 
     @property
-    def error_passive(self) -> bool:
-        return self.state == ERROR_PASSIVE
-
-    @property
     def bus_off(self) -> bool:
         return self.state == BUS_OFF
 

@@ -187,10 +187,6 @@ class Fieldbus:
             self.error_states = {}
         return self
 
-    @property
-    def dependability_enabled(self) -> bool:
-        return self.error_states is not None
-
     # ------------------------------------------------------------------
     # activity trace
     # ------------------------------------------------------------------

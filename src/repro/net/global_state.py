@@ -272,10 +272,6 @@ class GlobalStateChannel:
         """All replica statuses, keyed by reader node (node order)."""
         return dict(self.status_by_node)
 
-    def read_replica(self, node: str):
-        """Read ``node``'s replica (the value its reader threads see)."""
-        return self.replicas[node].read()
-
     def writer_stats(self) -> Dict[str, int]:
         """Writer-side counters (``published``, ``resync_broadcasts``,
         ``seq``)."""

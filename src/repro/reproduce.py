@@ -29,7 +29,9 @@ workload and maintains the persistent perf trajectory::
 
     python -m repro.reproduce perf --check --append
 
-The ``bench`` subcommand runs the benchmark suite (or a selection)::
+The ``bench`` subcommand runs the benchmark suite (or a selection),
+calling each ``benchmarks/bench_<name>.py`` script's ``main``
+in-process; the scripts need no test framework::
 
     python -m repro.reproduce bench all --workers 4
 
@@ -54,12 +56,16 @@ metrics registry::
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
 import sys
+import traceback
+from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.analysis import format_table
 from repro.core.overhead import OverheadModel
-from repro.sim.breakdown import POLICIES
+from repro.sim.breakdown import POLICIES, dp_bands
 from repro.sim.kernelsim import simulate_workload
 from repro.timeunits import ms, to_ms, to_us
 
@@ -308,64 +314,65 @@ def run_perf(argv: List[str]) -> int:
     return 0 if check_and_append(args, entry) else 1
 
 
-def run_bench(argv: List[str]) -> int:
+def run_bench(argv: List[str], artifacts: bool = False) -> int:
     """The ``bench`` subcommand: run the benchmark suite.
 
-    ``bench all`` runs every benchmark; ``bench fig3 kernel_overhead``
-    runs a selection (names map to ``benchmarks/bench_<name>.py``).
-    The shared ``--out/--workers/--smoke`` flags of
-    ``benchmarks/common.py`` configure the runs; how each benchmark is
-    invoked comes from the explicit ``BENCHMARKS`` registry there.
-    ``sys.path`` is restored on return, so neither ``benchmarks/`` nor
-    anything the nested pytest session prepends outlives the call.
+    ``bench all`` runs every ``benchmarks/bench_<name>.py``; ``bench
+    fig3 kernel_overhead`` runs a selection.  With ``artifacts`` the
+    names are paper artifacts instead (:data:`ARTIFACTS`; none named =
+    all of them).  Each benchmark named runs once, in the order given:
+    its ``main`` is called in-process, under the shared
+    ``--out/--workers/--smoke`` flags of ``benchmarks/common.py``.  A
+    benchmark that returns nonzero or raises (its traceback is
+    printed) does not stop the ones after it, but the exit code
+    becomes 1.  ``sys.path`` and ``os.environ`` are restored on return.
     """
-    from pathlib import Path
-
     bench_dir = Path(__file__).parent.parent.parent / "benchmarks"
-    saved_path = list(sys.path)
+    available = sorted(p.stem[len("bench_"):] for p in bench_dir.glob("bench_*.py"))
+    saved_path, saved_environ = list(sys.path), dict(os.environ)
     sys.path.insert(0, str(bench_dir))
     try:
-        from common import BENCHMARKS, apply_bench_args, bench_arg_parser
+        from common import apply_bench_args, bench_arg_parser
 
-        available = sorted(BENCHMARKS)
         parser = bench_arg_parser("Run the benchmark suite (or a selection).")
-        parser.prog = "python -m repro.reproduce bench"
-        parser.add_argument(
-            "names", nargs="+",
-            help=f"benchmarks to run, or 'all'; available: {', '.join(available)}",
-        )
+        if artifacts:
+            parser.prog = "python -m repro.reproduce"
+            parser.add_argument(
+                "names", nargs="*",
+                help=f"artifacts to regenerate (default all): {', '.join(ARTIFACTS)}",
+            )
+        else:
+            parser.prog = "python -m repro.reproduce bench"
+            parser.add_argument(
+                "names", nargs="+",
+                help=f"benchmarks to run, or 'all'; available: {', '.join(available)}",
+            )
         args = parser.parse_args(argv)
-
-        names = available if "all" in args.names else args.names
-        unknown = [n for n in names if n not in available]
+        known = ARTIFACTS if artifacts else [*available, "all"]
+        unknown = [n for n in args.names if n not in known]
         if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
+            parser.error(f"unknown names: {', '.join(unknown)}")
+        if artifacts:
+            names = [ARTIFACTS[n] for n in args.names or ARTIFACTS]
+        else:
+            names = available if "all" in args.names else args.names
 
         apply_bench_args(args)
-        pytest_files: List[str] = []
         exit_code = 0
-        for name in names:
-            if BENCHMARKS[name] == "cli":
-                # CLI-style benchmark: call its main() in-process.
-                module = __import__(f"bench_{name}")
-                cli_args = ["--smoke"] if args.smoke else []
-                code = module.main(cli_args)
-                exit_code = exit_code or code
-            else:
-                pytest_files.append(str(bench_dir / f"bench_{name}.py"))
-        if pytest_files:
-            import pytest
-
-            # -s prints each table as it is published; under --smoke
-            # every benchmark(fn) call runs fn once, untimed.
-            flags = ["-q", "-s", "-p", "no:cacheprovider"]
-            if args.smoke:
-                flags.append("--benchmark-disable")
-            code = pytest.main([*flags, *pytest_files])
-            exit_code = exit_code or int(code)
+        for name in dict.fromkeys(names):
+            try:
+                module = importlib.import_module(f"bench_{name}")
+                code = module.main(["--smoke"] if args.smoke else [])
+            except Exception:
+                traceback.print_exc()
+                code = 1
+            if code:
+                exit_code = 1
         return exit_code
     finally:
         sys.path[:] = saved_path
+        os.environ.clear()
+        os.environ.update(saved_environ)
 
 
 def _obs_arg_parser(prog: str, description: str) -> argparse.ArgumentParser:
@@ -407,9 +414,9 @@ def _obs_run(args):
     workload = overhead_workload()
     splits = None
     if args.policy.startswith("csd-"):
-        # CSD-x has x - 1 dynamic-priority queues ahead of the FP queue.
-        dp_bands = int(args.policy.split("-", 1)[1]) - 1
-        splits = min_overhead_splits(workload, dp_bands, OverheadModel())
+        splits = min_overhead_splits(
+            workload, dp_bands(args.policy), OverheadModel()
+        )
     kernel, trace = simulate_workload(
         workload,
         args.policy,
@@ -559,10 +566,6 @@ def run_cluster_trace(argv: List[str]) -> int:
         help="also write the Prometheus text exposition here",
     )
     parser.add_argument(
-        "--quick", action="store_true",
-        help="20 ms virtual horizon instead of --horizon-ms",
-    )
-    parser.add_argument(
         "--verify", action="store_true",
         help="assert byte-identical output under the other sync mode "
         "before writing",
@@ -576,7 +579,7 @@ def run_cluster_trace(argv: List[str]) -> int:
         )
     if args.horizon_ms <= 0:
         parser.error(f"--horizon-ms must be positive (got {args.horizon_ms})")
-    horizon = ms(20 if args.quick else args.horizon_ms)
+    horizon = ms(args.horizon_ms)
 
     _banner(
         f"Cluster trace: {args.nodes}-node ring, u={args.utilization:g}, "
@@ -670,11 +673,7 @@ def main(argv: List[str] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     if raw and raw[0] in SUBCOMMANDS:
         return SUBCOMMANDS[raw[0]](raw[1:])
-    bench_argv = ["--smoke" if a == "--quick" else ARTIFACTS.get(a, a) for a in raw]
-    if not any(a in ARTIFACTS for a in raw):
-        # pytest collects table2_fig2 once although two artifacts name it.
-        bench_argv.extend(ARTIFACTS.values())
-    return run_bench(bench_argv)
+    return run_bench(["--smoke" if a == "--quick" else a for a in raw], artifacts=True)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ __all__ = [
     "BreakdownResult",
     "best_csd_configuration",
     "breakdown_utilization",
+    "dp_bands",
     "figure_series",
     "FigureSeries",
 ]
@@ -61,7 +62,8 @@ POLICIES = ("edf", "rm", "rm-heap", "csd-2", "csd-3", "csd-4", "csd-5", "csd-6")
 _SCALE_TOLERANCE = 1e-3
 
 
-def _dp_bands(policy: str) -> int:
+def dp_bands(policy: str) -> int:
+    """Dynamic-priority bands of ``csd-x``: x - 1, ahead of the FP queue."""
     if not policy.startswith("csd-"):
         raise ValueError(f"not a CSD policy: {policy}")
     x = int(policy.split("-", 1)[1])
@@ -176,7 +178,7 @@ def _csd_breakdown(
 ) -> BreakdownResult:
     n = len(workload)
     base = workload.utilization
-    dp_bands = _dp_bands(policy)
+    bands = dp_bands(policy)
 
     def feasible(splits: Tuple[int, ...], scale: float) -> bool:
         return csd_schedulable(workload.scaled(scale), splits, model, blocking_factor)
@@ -209,7 +211,7 @@ def _csd_breakdown(
     best_scale = 0.0
     best_splits: Optional[Tuple[int, ...]] = None
     for r in grid:
-        splits = balanced_splits(workload, dp_bands, r)
+        splits = balanced_splits(workload, bands, r)
         result = evaluate(splits, best_scale)
         if result is not None and result > best_scale:
             best_scale = result
@@ -222,8 +224,8 @@ def _csd_breakdown(
         for dr in (-3, -2, -1, 1, 2, 3):
             r = best_r + dr
             if 0 <= r <= n:
-                candidates.append(balanced_splits(workload, dp_bands, r))
-        if dp_bands >= 2:
+                candidates.append(balanced_splits(workload, bands, r))
+        if bands >= 2:
             inner = list(best_splits[:-1])
             for idx in range(len(inner)):
                 for di in (-2, -1, 1, 2):

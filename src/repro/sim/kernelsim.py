@@ -20,16 +20,13 @@ from repro.core.schedulability import band_sizes_from_splits
 from repro.core.task import Workload
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Compute, Program
+from repro.sim.breakdown import dp_bands
 from repro.sim.trace import Trace
 
 __all__ = ["make_scheduler", "build_kernel", "simulate_workload", "hyperperiod"]
 
 
-def make_scheduler(
-    policy: str,
-    model: Optional[OverheadModel] = None,
-    splits: Optional[Sequence[int]] = None,
-) -> Scheduler:
+def make_scheduler(policy: str, model: Optional[OverheadModel] = None) -> Scheduler:
     """Instantiate a scheduler by policy name (see
     :data:`repro.sim.breakdown.POLICIES`)."""
     model = model if model is not None else OverheadModel()
@@ -40,10 +37,7 @@ def make_scheduler(
     if policy == "rm-heap":
         return RMHeapScheduler(model)
     if policy.startswith("csd-"):
-        x = int(policy.split("-", 1)[1])
-        if x < 2:
-            raise ValueError("CSD needs at least two queues")
-        return CSDScheduler(model, dp_queue_count=x - 1)
+        return CSDScheduler(model, dp_queue_count=dp_bands(policy))
     raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -68,7 +62,7 @@ def build_kernel(
     ``"full"``; see :mod:`repro.obs.collector`) -- reach it afterwards
     as ``kernel.obs``.
     """
-    scheduler = make_scheduler(policy, model, splits)
+    scheduler = make_scheduler(policy, model)
     kernel = Kernel(
         scheduler,
         stop_on_deadline_miss=stop_on_deadline_miss,

@@ -198,7 +198,7 @@ class TestCli:
         out = tmp_path / "cluster.trace.json"
         metrics_out = tmp_path / "metrics.json"
         code = main([
-            "cluster-trace", "--quick",
+            "cluster-trace", "--horizon-ms", "20",
             "--out", str(out), "--metrics-out", str(metrics_out),
         ])
         assert code == 0

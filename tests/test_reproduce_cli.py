@@ -23,13 +23,6 @@ CHEAP_ARTIFACTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def private_environ(monkeypatch):
-    """``apply_bench_args`` publishes flags into ``os.environ``; a copy
-    keeps them from leaking into later tests."""
-    monkeypatch.setattr(os, "environ", dict(os.environ))
-
-
 @pytest.mark.parametrize("target", sorted(CHEAP_ARTIFACTS))
 def test_cheap_targets_run(target, tmp_path):
     assert reproduce.main([target, "--quick", "--out", str(tmp_path)]) == 0
@@ -48,9 +41,9 @@ def test_figure11_quick(tmp_path):
     assert "29.4" in fp  # the flat FP line
 
 
-def test_quick_never_writes_committed_results():
+def test_quick_never_writes_committed_results(monkeypatch):
     """A --quick pass writes into the gitignored results/smoke/."""
-    os.environ.pop("REPRO_BENCH_OUT", None)
+    monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
     committed = {p: p.read_bytes() for p in RESULTS_DIR.glob("*.txt")}
     smoke_rm = RESULTS_DIR / "smoke" / "figure2_rm.txt"
     smoke_rm.parent.mkdir(exist_ok=True)
@@ -105,9 +98,9 @@ def test_faults_no_defenses_flag(capsys):
 
 
 def test_ipc_target_leaves_sys_path_alone(tmp_path):
-    """Neither ``benchmarks/`` nor anything the nested pytest session
-    prepends stays on ``sys.path``, so a later ``import common`` cannot
-    pick up whatever a cwd-relative directory holds."""
+    """Neither ``benchmarks/`` nor anything a benchmark prepends stays
+    on ``sys.path``, so a later ``import common`` cannot pick up
+    whatever a cwd-relative directory holds."""
     import sys
 
     before = list(sys.path)
@@ -115,16 +108,61 @@ def test_ipc_target_leaves_sys_path_alone(tmp_path):
     assert sys.path == before
 
 
-def test_every_artifact_names_a_benchmark(monkeypatch):
-    """Each paper artifact is an alias of a registered benchmark."""
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    import common
+def test_bench_leaves_environ_alone(tmp_path):
+    """The flags ``apply_bench_args`` publishes into ``os.environ`` do
+    not outlive the call: a later full-size run in the same process
+    must not run at smoke size or write into this ``--out``."""
+    before = dict(os.environ)
+    assert reproduce.main(["table1", "--quick", "--out", str(tmp_path)]) == 0
+    assert dict(os.environ) == before
 
+
+def test_only_positional_names_are_artifacts(tmp_path, monkeypatch):
+    """An ``--out`` directory named like an artifact stays that
+    directory instead of being renamed to the artifact's benchmark."""
+    monkeypatch.chdir(tmp_path)
+    assert reproduce.main(["table1", "--quick", "--out", "figure3"]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"figure3"}
+    assert (tmp_path / "figure3" / "table1.txt").exists()
+
+
+def test_artifacts_sharing_a_benchmark_run_it_once(monkeypatch):
+    """``table2`` and ``figure2`` both name ``bench_table2_fig2``."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import bench_table2_fig2
+
+    calls = []
+    monkeypatch.setattr(bench_table2_fig2, "main", lambda argv: calls.append(argv))
+    assert reproduce.main(["table2", "figure2", "--quick"]) == 0
+    assert calls == [["--smoke"]]
+
+
+def test_failing_benchmark_does_not_stop_the_next(monkeypatch, capsys):
+    """A benchmark whose claim fails prints its traceback, the ones
+    after it still run, and ``bench`` exits 1."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import bench_table1
+    import bench_table3
+
+    def broken(argv):
+        raise AssertionError("claim does not hold")
+
+    calls = []
+    monkeypatch.setattr(bench_table1, "main", broken)
+    monkeypatch.setattr(bench_table3, "main", lambda argv: calls.append(argv))
+    assert reproduce.main(["bench", "table1", "table3", "--smoke"]) == 1
+    assert calls == [["--smoke"]]
+    assert "AssertionError: claim does not hold" in capsys.readouterr().err
+
+
+def test_every_artifact_names_a_benchmark():
+    """Each paper artifact is an alias of a benchmark file on disk."""
     assert set(reproduce.ARTIFACTS) == {
         "table1", "table2", "table3", "figure2", "figure3", "figure4",
         "figure5", "figure11", "ipc", "cyclic", "footprint", "validate",
     }
-    assert set(reproduce.ARTIFACTS.values()) <= set(common.BENCHMARKS)
+    for name in reproduce.ARTIFACTS.values():
+        assert (BENCH_DIR / f"bench_{name}.py").is_file(), name
 
 
 def test_trace_subcommand_exports_valid_chrome_trace(tmp_path, capsys):
@@ -193,21 +231,10 @@ def test_csd_policy_allocates_its_fp_queue():
     assert lengths[-1] > 0
 
 
-def test_every_benchmark_file_is_registered(monkeypatch):
-    """The explicit registry replaces source-grep discovery: every
-    bench_*.py must be declared, and every declaration must exist."""
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    import common
-
-    on_disk = {p.stem[len("bench_"):] for p in BENCH_DIR.glob("bench_*.py")}
-    assert on_disk == set(common.BENCHMARKS)
-    assert set(common.BENCHMARKS.values()) <= {"cli", "pytest"}
-
-
 def test_every_cli_benchmark_accepts_smoke(monkeypatch):
-    """``reproduce bench --smoke`` passes ``--smoke`` to every CLI
-    benchmark, so each must parse it (the flag lives once, in
-    ``bench_arg_parser``)."""
+    """``reproduce bench --smoke`` passes ``--smoke`` to every
+    benchmark's ``main``, so each must parse it (the flag lives once,
+    in ``bench_arg_parser``)."""
     import importlib
 
     class Parsed(Exception):
@@ -220,13 +247,11 @@ def test_every_cli_benchmark_accepts_smoke(monkeypatch):
         raise Parsed
 
     monkeypatch.syspath_prepend(str(BENCH_DIR))
-    import common
-
-    for name, style in common.BENCHMARKS.items():
-        if style != "cli":
-            continue
-        module = importlib.import_module(f"bench_{name}")
+    paths = sorted(BENCH_DIR.glob("bench_*.py"))
+    assert len(paths) == 19
+    for path in paths:
+        module = importlib.import_module(path.stem)
         monkeypatch.setattr(module, "apply_bench_args", capture)
         with pytest.raises(Parsed):
             module.main(["--smoke"])
-        assert seen.pop().smoke, name
+        assert seen.pop().smoke, path.stem
