@@ -33,9 +33,10 @@ def miss_ratio(trace: Trace, now: int, thread: Optional[str] = None) -> float:
     jobs = trace.jobs if thread is None else trace.jobs_of(thread)
     if not jobs:
         return 0.0
-    violations = {id(j) for j in trace.deadline_violations(now)}
-    missed = sum(1 for j in jobs if id(j) in violations)
-    return missed / len(jobs)
+    violations = trace.deadline_violations(now)
+    if thread is not None:
+        violations = [j for j in violations if j.thread == thread]
+    return len(violations) / len(jobs)
 
 
 def recovery_time_ns(trace: Trace, now: int, burst_end: int) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -133,12 +134,17 @@ def chaos_prefix(
     Returns the kernel paused exactly at ``t_split`` -- the shared
     prefix every sweep point with the same ``(defenses, obs,
     t_split)`` restores from.  ``t_split=0`` skips the warm-up.
+
+    The warm-up's trace is signed here, once: a continuation forked
+    from this kernel inherits the running digest and its own
+    :meth:`~repro.sim.trace.Trace.signature` hashes only the tail.
     """
     if t_split < 0:
         raise ValueError(f"t_split must be non-negative (got {t_split})")
     kernel = build_chaos_kernel(defenses, obs=obs)
     if t_split:
         kernel.run_until(t_split)
+        kernel.trace.signature()
     return kernel
 
 
@@ -191,16 +197,16 @@ def chaos_continue(
     if burst_end_ns is None:
         burst_end_ns = max((f.time for f in plan), default=0)
 
+    on_time = Counter(
+        j.thread
+        for j in trace.jobs
+        if j.completion is not None
+        and (j.deadline is None or j.completion <= j.deadline)
+    )
     service: Dict[str, float] = {}
     for name, period, _wcet, _crit in WORKLOAD:
         expected = duration_ns // period
-        on_time = sum(
-            1
-            for j in trace.jobs_of(name)
-            if j.completion is not None
-            and (j.deadline is None or j.completion <= j.deadline)
-        )
-        service[name] = on_time / expected if expected else 0.0
+        service[name] = on_time[name] / expected if expected else 0.0
 
     signature = trace.signature()
     return ChaosResult(

@@ -59,28 +59,38 @@ def fork_available() -> bool:
 def _collect_child(
     pending: List[Tuple[int, int, Any]], results: List[Any], parent: int
 ) -> None:
-    """Receive the oldest pending child's outcome, reap it, place it.
+    """Receive a finished child's outcome, reap it, place it.
 
-    The entry leaves ``pending`` only once its child is reaped, so an
-    interrupted collection leaves it for :func:`_reap`.  While it
-    waits, the server checks every :data:`ORPHAN_POLL_S` that its
-    creator ``parent`` is still its parent; once it is not (the sweep
-    process died and the server was reparented), the server kills and
-    reaps its children and exits.  EOF on the pipe to ``parent`` would
-    not signal that death: servers forked after this one inherit the
+    Waits on every pending pipe at once and takes the oldest child
+    that has finished, so at ``children > 1`` a slow continuation does
+    not keep a finished sibling's slot idle.  The entry leaves
+    ``pending`` only once its child is reaped, so an interrupted
+    collection leaves it for :func:`_reap`.  While it waits, the
+    server checks every :data:`ORPHAN_POLL_S` that its creator
+    ``parent`` is still its parent; once it is not (the sweep process
+    died and the server was reparented), the server kills and reaps
+    its children and exits.  EOF on the pipe to ``parent`` would not
+    signal that death: servers forked after this one inherit the
     parent's end of it.
     """
-    index, pid, conn = pending[0]
-    while not conn.poll(ORPHAN_POLL_S):
+    # Imported here: only a server waits on children, and the module
+    # would add its own imports (subprocess, multiprocessing.util, ...)
+    # to every importer.
+    from multiprocessing.connection import wait
+
+    conns = [conn for _, _, conn in pending]
+    while not (ready := wait(conns, ORPHAN_POLL_S)):
         if os.getppid() != parent:
             _reap(pending)
             os._exit(1)
+    position = next(i for i, conn in enumerate(conns) if conn in ready)
+    index, pid, conn = pending[position]
     try:
         kind, payload = conn.recv()
     except EOFError:
         kind, payload = "err", f"snapshot child (pid {pid}) died without a result"
     os.waitpid(pid, 0)
-    del pending[0]
+    del pending[position]
     conn.close()
     if kind == "err":
         raise RuntimeError(f"continuation #{index} failed:\n{payload}")
@@ -111,12 +121,12 @@ def _serve(
 
     Runs start to finish without waiting for the parent: it sends
     ``("ready", prefix wall seconds)`` once the prefix is built, forks
-    the continuations in waves of at most ``children`` (reaped in fork
-    order), then sends ``("done", results)``.  Each child ships
-    ``("ok", result)`` or ``("err", traceback)`` over its own pipe
-    (per-child pipes keep concurrent writes from interleaving).  The
-    continuation result must be picklable -- the prefix state itself
-    never is.
+    the continuations with at most ``children`` in flight (a slot is
+    refilled as soon as any child finishes), then sends ``("done",
+    results)``.  Each child ships ``("ok", result)`` or ``("err",
+    traceback)`` over its own pipe (per-child pipes keep concurrent
+    writes from interleaving).  The continuation result must be
+    picklable -- the prefix state itself never is.
 
     No continuation outlives its server.  A failed one makes the server
     kill and reap the others still in flight before it reports; SIGTERM

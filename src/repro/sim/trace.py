@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.timeunits import to_ms, to_us
 
@@ -130,6 +131,31 @@ class JobRecord:
         )
 
 
+#: Records rendered per ``join`` in :meth:`Trace.signature`, so that a
+#: call over a long run holds one chunk's strings at a time.
+_CHUNK = 1024
+
+
+def _job_text(job: JobRecord) -> str:
+    """A job record's text in :meth:`Trace.signature`."""
+    return repr((job.thread, job.release, job.deadline, job.completion, job.aborted))
+
+
+def _feed(
+    sink: Callable[[bytes], object],
+    items: Sequence,
+    render: Callable[[object], str],
+    continued: bool,
+) -> None:
+    """Feed ``sink`` the ``", "``-joined ``render`` text of ``items``,
+    a chunk at a time, led by ``", "`` when it ``continued`` earlier
+    items."""
+    for start in range(0, len(items), _CHUNK):
+        if start or continued:
+            sink(b", ")
+        sink(", ".join(map(render, items[start:start + _CHUNK])).encode())
+
+
 class Trace:
     """Accumulates everything observable about one kernel run.
 
@@ -154,6 +180,10 @@ class Trace:
         "kernel_time_total",
         "idle_time",
         "_open_jobs",
+        "_events_digest",
+        "_events_hashed",
+        "_closed_jobs_text",
+        "_jobs_closed",
     )
 
     def __init__(self, record: str = "full", max_events: Optional[int] = None):
@@ -179,6 +209,12 @@ class Trace:
         self.kernel_time_total = 0
         self.idle_time = 0
         self._open_jobs: Dict[Tuple[str, int], JobRecord] = {}
+        # What :meth:`signature` has already covered: a running digest
+        # of the events' text and the encoded text of the closed jobs.
+        self._events_digest = hashlib.sha256(b"((")
+        self._events_hashed = 0
+        self._closed_jobs_text = bytearray()
+        self._jobs_closed = 0
 
     # ------------------------------------------------------------------
     # recording (called by the kernel)
@@ -284,21 +320,64 @@ class Trace:
         ``include_segments``, the Gantt segments too.  Two runs are
         behaviorally identical iff their full-mode signatures match;
         performance work must leave this hash unchanged.
+
+        The hashed text is ``repr((tuple(events), job tuples[, segment
+        tuples]))``, but a call only renders what was recorded since
+        the previous one, so a sweep point forked from a signed prefix
+        hashes just its own tail.  Between calls the trace keeps:
+
+        * a running sha256 over the events' text.  Sound because the
+          log grows only through :meth:`note`'s appends; a ring buffer
+          that dropped events (``max_events``) still raises.
+        * the text of the closed job records ahead of the first open
+          one.  The jobs follow the events in the hashed text, so they
+          wait as text instead of entering the digest.  Sound because
+          records are appended only by :meth:`job_released`, and a
+          record is final once it leaves ``_open_jobs``.  Its
+          ``completion`` or ``aborted`` shows that it has: the trace
+          sets either only as it removes the record from there, and
+          never touches it again.
+
+        Each call then finishes a copy of the digest with the close of
+        the events' tuple, the job tuples and, with
+        ``include_segments``, the segments.  Segments are hashed whole
+        on every call because the last one can still grow by a merge.
         """
         if self.events_dropped:
             raise ValueError("signature of a truncated event log is meaningless")
-        fingerprint: Tuple = (
-            tuple(self.events),
-            tuple(
-                (j.thread, j.release, j.deadline, j.completion, j.aborted)
-                for j in self.jobs
-            ),
+        events = self.events
+        hashed = self._events_hashed
+        if len(events) > hashed:
+            # Taken from the end: skipping the hashed head would write
+            # each old event's refcount, copying its page in a fork.
+            batch = list(islice(reversed(events), len(events) - hashed))
+            batch.reverse()
+            _feed(self._events_digest.update, batch, repr, hashed > 0)
+            self._events_hashed = len(events)
+        digest = self._events_digest.copy()
+        digest.update(b",), (" if len(events) == 1 else b"), (")
+
+        jobs = self.jobs
+        closed = self._jobs_closed
+        while closed < len(jobs) and (
+            jobs[closed].completion is not None or jobs[closed].aborted
+        ):
+            closed += 1
+        _feed(
+            self._closed_jobs_text.extend,
+            jobs[self._jobs_closed:closed],
+            _job_text,
+            self._jobs_closed > 0,
         )
+        self._jobs_closed = closed
+        digest.update(self._closed_jobs_text)
+        _feed(digest.update, jobs[closed:], _job_text, closed > 0)
+        digest.update(b",)" if len(jobs) == 1 else b")")
         if include_segments:
-            fingerprint = fingerprint + (
-                tuple((s.start, s.end, s.who) for s in self.segments),
-            )
-        return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+            segments = tuple((s.start, s.end, s.who) for s in self.segments)
+            digest.update(f", {segments!r}".encode())
+        digest.update(b")")
+        return digest.hexdigest()
 
     def last_time(self) -> int:
         """Latest instant covered by any stored record (ns).

@@ -31,6 +31,7 @@ from repro.perf import snapshot as snapshot_mod
 from repro.perf.snapshot import SnapshotError, SnapshotServer, fork_available
 from repro.perf.sweeps import WORKERS_ENV, PrefixSpec, parallel_map, prefix_map
 from repro.timeunits import ms
+from tests.test_trace import oracle_signature
 
 requires_fork = pytest.mark.skipif(
     not fork_available(), reason="os.fork unavailable"
@@ -79,12 +80,24 @@ class TestChaosEquality:
     """Kernel fault sweeps: restored == cold, across seeds."""
 
     def test_restored_points_equal_cold(self):
+        """Each restored point also returns the one-shot hash of its
+        child's final trace: the digest state the child inherited from
+        its signed prefix must sign exactly what the child recorded."""
+
+        def plan(case):
+            spec, continuation = _chaos_plan(case)
+
+            def signed(kernel):
+                return continuation(kernel), oracle_signature(kernel.trace)
+
+            return spec, signed
+
         cases = [(rate, seed) for rate in RATES for seed in SEEDS]
         cold = [_chaos_cold(rate, seed) for rate, seed in cases]
-        restored = prefix_map(_chaos_plan, cases)
-        assert restored == cold
-        for a, b in zip(cold, restored):
-            assert a.trace_signature == b.trace_signature
+        outcomes = prefix_map(plan, cases)
+        assert [restored for restored, _ in outcomes] == cold
+        for a, (b, oracle) in zip(cold, outcomes):
+            assert a.trace_signature == b.trace_signature == oracle
             assert a.trace_signature  # non-trivial signature
 
     def test_zero_rate_pause_is_pure_chunking(self):
@@ -258,6 +271,27 @@ class TestSnapshotServer:
         server.close()
         with pytest.raises(SnapshotError, match="is closed"):
             server.results()
+
+    @requires_fork
+    def test_collects_whichever_child_finishes_first(self, tmp_path):
+        """At ``children=2``, continuation 0 waits for a marker that
+        continuation 2 writes: 2 only gets a slot if the server
+        collects the finished 1 while 0 still runs."""
+        marker = tmp_path / "marker"
+
+        def first(_state):
+            if not _wait_for(marker, timeout_s=5.0):
+                raise TimeoutError("continuation 2 never started")
+            return 0
+
+        def third(_state):
+            marker.touch()
+            return 2
+
+        with SnapshotServer(
+            dict, [first, lambda _state: 1, third], children=2
+        ) as server:
+            assert server.results() == [0, 1, 2]
 
     @requires_fork
     def test_children_see_private_state(self):

@@ -1,6 +1,10 @@
 """Tests for execution traces (segments, jobs, Gantt rendering)."""
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.analyzers import response_percentiles
 from repro.sim.trace import IDLE, KERNEL, JobRecord, Trace
@@ -164,3 +168,109 @@ class TestSummary:
         text = t.summary(2000)
         assert "a:" in text
         assert "p95" in text or "max" in text
+
+
+def oracle_signature(trace, include_segments=False):
+    """:meth:`Trace.signature` by its definition, hashed in one shot."""
+    fingerprint = (
+        tuple(trace.events),
+        tuple(
+            (j.thread, j.release, j.deadline, j.completion, j.aborted)
+            for j in trace.jobs
+        ),
+    )
+    if include_segments:
+        fingerprint += (tuple((s.start, s.end, s.who) for s in trace.segments),)
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+
+
+THREADS = ("a", "b")
+
+#: One recording or signing step.  ``complete``/``abort`` close the
+#: open job their index picks (release order); a ``segment`` starts
+#: ``gap`` after the last one ends, so gap 0 and the same owner merge.
+STEPS = st.one_of(
+    st.tuples(st.just("note"), st.integers(0, 50), st.sampled_from(["x", "y"])),
+    st.tuples(
+        st.just("release"), st.sampled_from(THREADS), st.sampled_from([None, 40])
+    ),
+    st.tuples(st.just("complete"), st.integers(0, 3), st.integers(0, 80)),
+    st.tuples(st.just("abort"), st.integers(0, 3), st.integers(0, 80)),
+    st.tuples(
+        st.just("segment"), st.integers(0, 1), st.integers(1, 3),
+        st.sampled_from(THREADS),
+    ),
+    st.tuples(st.just("sign"), st.booleans()),
+)
+
+
+class TestSignature:
+    """The streamed signature equals the one-shot hash after every
+    interleaving of recording and signing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(STEPS, max_size=40))
+    @example([])
+    @example([("note", 1, "x"), ("release", "a", 40), ("sign", True)])
+    @example([
+        ("release", "a", 40), ("release", "b", None), ("note", 3, "x"),
+        ("complete", 1, 10),  # b closes while a, ahead of it, stays open
+        ("segment", 0, 2, "a"), ("sign", True),
+        ("complete", 0, 50),  # a closes late, after a signature
+        ("sign", False), ("segment", 0, 1, "a"), ("sign", True),
+        ("release", "a", 40), ("release", "b", 40), ("abort", 0, 60),
+        ("note", 7, "y"), ("segment", 1, 3, "b"), ("sign", True),
+        ("complete", 0, 20), ("release", "b", None), ("sign", False),
+    ])
+    def test_every_call_equals_the_one_shot_hash(self, steps):
+        trace = Trace()
+        open_jobs = []
+        released = 0
+        end = 0
+        for step in steps:
+            op = step[0]
+            if op == "note":
+                trace.note(step[1], "event", step[2])
+            elif op == "release":
+                released += 1
+                trace.job_released(step[1], released, step[2], released)
+                open_jobs.append((step[1], released))
+            elif op in ("complete", "abort") and open_jobs:
+                thread, job_no = open_jobs.pop(step[1] % len(open_jobs))
+                if op == "complete":
+                    trace.job_completed(thread, job_no, step[2])
+                else:
+                    trace.job_aborted(thread, job_no, step[2])
+            elif op == "segment":
+                _, gap, length, who = step
+                trace.add_segment(end + gap, end + gap + length, who)
+                end += gap + length
+            elif op == "sign":
+                assert trace.signature(step[1]) == oracle_signature(trace, step[1])
+        for include_segments in (False, True):
+            assert trace.signature(include_segments) == oracle_signature(
+                trace, include_segments
+            )
+
+    def test_long_runs_cross_chunk_boundaries(self):
+        """Over a thousand events and jobs per call, the first call
+        included, with job 1 open until the end."""
+        trace = Trace()
+        for n in range(1, 2601):
+            trace.note(n, "event", "x")
+            trace.job_released("a", n, n + 5, n)
+            if n > 1:
+                trace.job_completed("a", n, n + 1)
+            if n in (1500, 2600):
+                assert trace.signature() == oracle_signature(trace)
+        trace.job_aborted("a", 1, 2601)
+        assert trace.signature(True) == oracle_signature(trace, True)
+
+    def test_truncation_after_a_signature_still_raises(self):
+        trace = Trace(max_events=2)
+        trace.note(0, "event", "x")
+        trace.signature()
+        trace.note(1, "event", "y")
+        trace.note(2, "event", "z")
+        with pytest.raises(ValueError, match="truncated"):
+            trace.signature()
