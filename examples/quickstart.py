@@ -107,7 +107,7 @@ def main() -> None:
     print(
         f"semaphore: {sem.acquires} acquires "
         f"({sem.contended_acquires} contended), "
-        f"{sem.parks} hint-parks saving {sem.saved_switches} context switches"
+        f"{sem.parks} hint-parks (each saves one context switch)"
     )
     channel = kernel.channels["latest_sample"]
     print(

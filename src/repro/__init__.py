@@ -64,7 +64,6 @@ from repro.kernel import (
     Sleep,
     StateRead,
     StateWrite,
-    Syscalls,
     Thread,
     Wait,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "StateChannel",
     "StateRead",
     "StateWrite",
-    "Syscalls",
     "TaskSpec",
     "Thread",
     "Wait",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -197,16 +196,20 @@ def chaos_continue(
     if burst_end_ns is None:
         burst_end_ns = max((f.time for f in plan), default=0)
 
-    on_time = Counter(
-        j.thread
-        for j in trace.jobs
-        if j.completion is not None
-        and (j.deadline is None or j.completion <= j.deadline)
-    )
+    # One pass over the job records: on-time completions per thread
+    # and aborted jobs.
+    on_time: Dict[str, int] = {}
+    aborted = 0
+    for j in trace.jobs:
+        completion = j.completion
+        if completion is None:
+            aborted += j.aborted
+        elif j.deadline is None or completion <= j.deadline:
+            on_time[j.thread] = on_time.get(j.thread, 0) + 1
     service: Dict[str, float] = {}
     for name, period, _wcet, _crit in WORKLOAD:
         expected = duration_ns // period
-        service[name] = on_time[name] / expected if expected else 0.0
+        service[name] = on_time.get(name, 0) / expected if expected else 0.0
 
     signature = trace.signature()
     return ChaosResult(
@@ -217,7 +220,7 @@ def chaos_continue(
         faults_injected=dict(injector.injected),
         miss_ratio=miss_ratio(trace, kernel.now),
         service_ratio=service,
-        jobs_aborted=sum(1 for j in trace.jobs if j.aborted),
+        jobs_aborted=aborted,
         threads_dead=tuple(
             sorted(t.name for t in kernel.threads.values() if t.dead)
         ),

@@ -26,7 +26,6 @@ from repro.kernel.program import (
     StateWrite,
     Wait,
 )
-from repro.kernel.syscalls import Syscalls
 from repro.kernel.thread import Thread, ThreadState
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "Sleep",
     "StateRead",
     "StateWrite",
-    "Syscalls",
     "Thread",
     "ThreadState",
     "Timer",

@@ -71,14 +71,9 @@ class Kernel:
         sem_scheme: ``"emeralds"`` (default) or ``"standard"`` --
             which semaphore implementation :meth:`create_semaphore`
             builds and whether the unblock-path hint check runs.
-        auto_parse_hints: Run the Section 6.2.1 code parser over every
-            program at thread-creation time (the paper's compile-time
-            pass).
         record: Trace recording mode (``"full"``, the default, or
             ``"jobs-only"`` to save memory on long runs; see
             :mod:`repro.sim.trace`).
-        max_trace_events: Ring-buffer cap on the trace event log
-            (``None`` = unbounded).
         stop_on_deadline_miss: Abort the run at the first deadline
             violation (used by breakdown-by-simulation experiments).
         fault_policy: ``"kill"`` (default) terminates a thread that
@@ -91,11 +86,9 @@ class Kernel:
         self,
         scheduler: Optional[Scheduler] = None,
         sem_scheme: str = "emeralds",
-        auto_parse_hints: bool = True,
         stop_on_deadline_miss: bool = False,
         fault_policy: str = "kill",
         record: str = "full",
-        max_trace_events: Optional[int] = None,
     ):
         if sem_scheme not in ("emeralds", "standard"):
             raise ValueError(f"unknown semaphore scheme {sem_scheme!r}")
@@ -109,13 +102,12 @@ class Kernel:
         )
         self.model: OverheadModel = self.scheduler.model
         self.sem_scheme = sem_scheme
-        self.auto_parse_hints = auto_parse_hints
         self.stop_on_deadline_miss = stop_on_deadline_miss
         self.fault_policy = fault_policy
 
         self.clock = VirtualClock()
         self.events = EventQueue()
-        self.trace = Trace(record=record, max_events=max_trace_events)
+        self.trace = Trace(record=record)
         self.interrupts = InterruptController(self)
         self.allocator = AddressSpaceAllocator()
 
@@ -176,11 +168,12 @@ class Kernel:
         return self.clock.now
 
     def charge(self, cost_ns: int, category: str) -> None:
-        """Consume ``cost_ns`` of CPU in kernel mode.
+        """Consume ``cost_ns`` of CPU in kernel mode, booked under
+        ``category`` in the trace's ``kernel_time``.
 
-        The trace bookkeeping (:meth:`repro.sim.trace.Trace.charge_kernel`)
-        is inlined: this is the single most-called kernel function, and
-        the extra call frame showed up as several percent of a run.
+        The trace bookkeeping is inlined here: this is the single
+        most-called kernel function, and a call into the trace showed
+        up as several percent of a run.
         """
         if cost_ns <= 0:
             return
@@ -191,7 +184,6 @@ class Kernel:
         trace = self.trace
         kernel_time = trace.kernel_time
         kernel_time[category] = kernel_time.get(category, 0) + cost_ns
-        trace.kernel_time_total += cost_ns
         if trace.record_segments:
             trace.add_segment(start, end, KERNEL)
 
@@ -273,18 +265,15 @@ class Kernel:
         """
         if name in self.threads:
             raise KernelError(f"thread {name} already exists")
-        program = body
-        period_hint: Optional[str] = None
-        if self.auto_parse_hints:
-            parsed = insert_hints(body)
-            program = parsed.program
-            period_hint = parsed.period_hint
-            risky = held_across_blocking(program)
-            self._held_across_blocking.update(risky)
-            for sem_name in risky:
-                sem = self.semaphores.get(sem_name)
-                if sem is not None and hasattr(sem, "registry_enabled"):
-                    sem.registry_enabled = True
+        # The Section 6.2.1 code parser: the paper's compile-time pass.
+        parsed = insert_hints(body)
+        program = parsed.program
+        risky = held_across_blocking(program)
+        self._held_across_blocking.update(risky)
+        for sem_name in risky:
+            sem = self.semaphores.get(sem_name)
+            if sem is not None and hasattr(sem, "registry_enabled"):
+                sem.registry_enabled = True
         spec = None
         if period is not None:
             spec = TaskSpec(
@@ -303,7 +292,7 @@ class Kernel:
             relative_deadline=deadline,
             fp_policy=fp_policy,
         )
-        thread.period_hint = period_hint
+        thread.period_hint = parsed.period_hint
         thread.csd_queue = csd_queue
         thread.criticality = criticality
         if min_interarrival is not None:
@@ -818,7 +807,6 @@ class Kernel:
                 trace = self.trace
                 kernel_time = trace.kernel_time
                 kernel_time["sched"] = kernel_time.get("sched", 0) + cost
-                trace.kernel_time_total += cost
                 if trace.record_segments:
                     trace.add_segment(start, start + cost, KERNEL)
             self._dispatch()
@@ -904,7 +892,6 @@ class Kernel:
             trace = self.trace
             kernel_time = trace.kernel_time
             kernel_time["sched"] = kernel_time.get("sched", 0) + cost
-            trace.kernel_time_total += cost
             if trace.record_segments:
                 trace.add_segment(start, start + cost, KERNEL)
         thread.state = ThreadState.IDLE
@@ -934,7 +921,6 @@ class Kernel:
             trace = self.trace
             kernel_time = trace.kernel_time
             kernel_time["sched"] = kernel_time.get("sched", 0) + cost
-            trace.kernel_time_total += cost
             if trace.record_segments:
                 trace.add_segment(start, end, KERNEL)
         new = selected if isinstance(selected, Thread) else None
@@ -951,7 +937,6 @@ class Kernel:
             kernel_time["context-switch"] = (
                 kernel_time.get("context-switch", 0) + cs
             )
-            trace.kernel_time_total += cs
             if trace.record_segments:
                 trace.add_segment(start, start + cs, KERNEL)
         preempted = old is not None and old.state == ThreadState.RUNNING
@@ -967,8 +952,8 @@ class Kernel:
         if obs is not None:
             # The collector's per-switch counters, bumped inline: a
             # method call per context switch costs several percent of
-            # throughput, plain adds stay under the obs budget.
-            obs.switches += 1
+            # throughput, plain adds stay under the obs budget.  The
+            # switch itself is counted once, by the trace.
             depth = self.events._live
             obs.queue_depth_sum += depth
             if depth > obs.queue_depth_max:

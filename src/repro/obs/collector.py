@@ -13,6 +13,10 @@ priority-inheritance code.  It records only what the trace does not:
 * per queue: the engine event-queue depth sampled at every context
   switch.
 
+Context switches themselves are counted once, by the trace
+(:attr:`~repro.sim.trace.Trace.context_switches`): the collector notes
+the count when it attaches and exports the switches made since.
+
 A job's outcome has one record, the trace's
 :class:`~repro.sim.trace.JobRecord`: there is no job hook, and
 :meth:`ObsCollector.as_registry` derives every per-task job metric --
@@ -108,8 +112,8 @@ class ObsCollector:
 
     __slots__ = (
         "mode", "full", "response_buckets", "kernel", "sems",
-        "_block_since", "switches", "queue_depth_max", "queue_depth_sum",
-        "pi_events", "blocking_intervals",
+        "_block_since", "switches_at_attach", "queue_depth_max",
+        "queue_depth_sum", "pi_events", "blocking_intervals",
     )
 
     def __init__(
@@ -128,13 +132,14 @@ class ObsCollector:
         self.sems: Dict[str, _SemStats] = {}
         #: Open blocking episodes: thread -> (sem, start, reason).
         self._block_since: Dict[str, Tuple[str, int, str]] = {}
+        #: The trace's context-switch count when :meth:`attach` ran.
+        self.switches_at_attach = 0
         #: Per-switch counters, updated inline by the kernel's
         #: ``_dispatch`` (plain integer adds, no method call -- a call
         #: per context switch measurably costs throughput).  Per-task
-        #: dispatch and preemption counts live on the TCBs.
-        self.switches = 0
-        #: Queue depth is sampled once per switch, so ``switches`` is
-        #: the sample count -- no separate samples counter to bump.
+        #: dispatch and preemption counts live on the TCBs.  Queue
+        #: depth is sampled once per switch, so the switches since
+        #: attach are the sample count.
         self.queue_depth_max = 0
         self.queue_depth_sum = 0
         # full-mode event records
@@ -147,6 +152,7 @@ class ObsCollector:
             raise ValueError("kernel already has an observer attached")
         kernel.obs = self
         self.kernel = kernel
+        self.switches_at_attach = kernel.trace.context_switches
         return self
 
     # ------------------------------------------------------------------
@@ -281,13 +287,16 @@ class ObsCollector:
             reg.counter("sem_blocked_ns_total", sem=name).inc(s.blocked_ns)
             reg.gauge("sem_waiters_max", sem=name).set(s.max_waiters)
             reg.counter("sem_pi_donations_total", sem=name).inc(s.donations)
-        reg.counter("sched_context_switches_total").inc(self.switches)
+        switches = 0
+        if kernel is not None:
+            switches = kernel.trace.context_switches - self.switches_at_attach
+        reg.counter("sched_context_switches_total").inc(switches)
         depth = reg.gauge("engine_event_queue_depth")
         depth.set(0)
         depth.max_seen = self.queue_depth_max
         reg.counter("engine_event_queue_depth_sum").inc(self.queue_depth_sum)
         # Depth is sampled once per switch, so switches is the count.
-        reg.counter("engine_event_queue_depth_samples").inc(self.switches)
+        reg.counter("engine_event_queue_depth_samples").inc(switches)
         if kernel is not None:
             trace = kernel.trace
             for category in sorted(trace.kernel_time):

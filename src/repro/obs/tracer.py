@@ -167,7 +167,7 @@ def node_trace_events(
         )
 
     # Instant events from the trace's point-event log.
-    for time, kind, detail in trace.event_log():
+    for time, kind, detail in trace.events:
         if kind == "context-switch":
             continue  # the exec slices already show switches
         events.append(
@@ -222,7 +222,11 @@ def chrome_trace_events(
             "generator": "repro.obs.tracer",
             "virtual_time_ns": trace.last_time(),
             "record_mode": trace.record,
-            "truncated": trace.events_truncated,
+            # The event log is never capped, so this is always false.
+            # The key stays because recorded exports (simbench's
+            # kernel-traced references, the golden files) digest the
+            # export bytes.
+            "truncated": False,
         },
     }
 

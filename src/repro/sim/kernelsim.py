@@ -48,7 +48,6 @@ def build_kernel(
     splits: Optional[Sequence[int]] = None,
     stop_on_deadline_miss: bool = False,
     record: str = "full",
-    max_trace_events: Optional[int] = None,
     obs: Optional[str] = None,
 ) -> Kernel:
     """Create a kernel running ``workload`` under ``policy``.
@@ -67,7 +66,6 @@ def build_kernel(
         scheduler,
         stop_on_deadline_miss=stop_on_deadline_miss,
         record=record,
-        max_trace_events=max_trace_events,
     )
     if obs is not None:
         from repro.obs.collector import ObsCollector
@@ -116,7 +114,6 @@ def simulate_workload(
     splits: Optional[Sequence[int]] = None,
     stop_on_deadline_miss: bool = False,
     record: str = "full",
-    max_trace_events: Optional[int] = None,
     obs: Optional[str] = None,
 ) -> Tuple[Kernel, Trace]:
     """Run ``workload`` and return the kernel plus its trace.
@@ -132,7 +129,6 @@ def simulate_workload(
         splits,
         stop_on_deadline_miss=stop_on_deadline_miss,
         record=record,
-        max_trace_events=max_trace_events,
         obs=obs,
     )
     horizon = duration if duration is not None else hyperperiod(workload)

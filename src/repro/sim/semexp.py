@@ -48,6 +48,7 @@ class PairOverhead:
     queue_length: int
     overhead_ns: int
     context_switches: int
+    #: The semaphore's hint parks: each saves one context switch.
     saved_switches: int
 
 
@@ -189,7 +190,7 @@ def measure_pair_overhead(
                 + model_.context_switch_ns
             )
         overhead -= wake
-    saved = getattr(sem, "saved_switches", 0)
+    saved = getattr(sem, "parks", 0)
     return PairOverhead(
         queue=queue,
         scheme=scheme,

@@ -11,7 +11,7 @@ Recording modes
 Tracing sits on the simulator's hottest path, so what gets *stored*
 is switchable (what gets *counted* -- context switches, kernel time by
 category, idle time -- is always maintained; the counters are plain
-integer adds):
+integer adds, and the kernel-time total is their sum):
 
 * ``"full"`` -- everything: point events, job records, Gantt segments.
 * ``"jobs-only"`` -- job records only; point events and segments are
@@ -22,12 +22,6 @@ integer adds):
 Every mode keeps the job records: they are the one record of each
 job's outcome, and every per-task job metric (the collector's
 completion, abort, miss and response-time series) derives from them.
-
-Even at ``"full"``, the event log can be capped with ``max_events``:
-the log becomes a ring buffer keeping the newest events, and the trace
-marks itself truncated (:attr:`Trace.events_dropped`,
-:meth:`Trace.event_log` prepends an explicit ``<truncated>`` marker)
-instead of growing without bound.
 """
 
 from __future__ import annotations
@@ -47,10 +41,6 @@ KERNEL = "<kernel>"
 
 #: Valid trace recording modes, most to least detailed.
 RECORD_MODES = ("full", "jobs-only")
-
-#: Kind tag of the marker entry :meth:`Trace.event_log` prepends when
-#: the ring buffer dropped events.
-TRUNCATED = "<truncated>"
 
 
 class Segment:
@@ -161,23 +151,16 @@ class Trace:
 
     Args:
         record: Recording mode (see module docstring).
-        max_events: Cap on the stored event log; ``None`` = unbounded.
-            When the cap is hit the oldest events are dropped and the
-            trace is marked truncated.
     """
 
     __slots__ = (
         "record",
         "record_segments",
-        "_record_events",
-        "max_events",
         "segments",
         "jobs",
         "events",
-        "events_dropped",
         "context_switches",
         "kernel_time",
-        "kernel_time_total",
         "idle_time",
         "_open_jobs",
         "_events_digest",
@@ -186,27 +169,21 @@ class Trace:
         "_jobs_closed",
     )
 
-    def __init__(self, record: str = "full", max_events: Optional[int] = None):
+    def __init__(self, record: str = "full"):
         if record not in RECORD_MODES:
             raise ValueError(
                 f"unknown record mode {record!r} (expected one of {RECORD_MODES})"
             )
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be positive (got {max_events})")
         self.record = record
+        #: True in ``"full"`` mode: point events and segments are stored.
         self.record_segments = record == "full"
-        self._record_events = record == "full"
-        self.max_events = max_events
         self.segments: List[Segment] = []
         self.jobs: List[JobRecord] = []
-        self.events: deque = deque(maxlen=max_events)
-        #: Events discarded by the ring buffer (oldest-first).
-        self.events_dropped = 0
+        self.events: deque = deque()
         self.context_switches = 0
+        #: Kernel time by category, written only by the kernel's
+        #: charge paths (:meth:`repro.kernel.kernel.Kernel.charge`).
         self.kernel_time: Dict[str, int] = {}
-        #: Running total of :attr:`kernel_time` (plain attribute so the
-        #: hot path pays one add, not a sum over categories per query).
-        self.kernel_time_total = 0
         self.idle_time = 0
         self._open_jobs: Dict[Tuple[str, int], JobRecord] = {}
         # What :meth:`signature` has already covered: a running digest
@@ -235,25 +212,10 @@ class Trace:
                 return
         segments.append(Segment(start, end, who))
 
-    def charge_kernel(self, start: int, end: int, category: str) -> None:
-        """Record kernel overhead time under a named category."""
-        if end <= start:
-            return
-        delta = end - start
-        kernel_time = self.kernel_time
-        kernel_time[category] = kernel_time.get(category, 0) + delta
-        self.kernel_time_total += delta
-        if self.record_segments:
-            self.add_segment(start, end, KERNEL)
-
     def note(self, time: int, kind: str, detail: str) -> None:
         """Record a point event (release, miss, switch, fault...)."""
-        if not self._record_events:
-            return
-        events = self.events
-        if events.maxlen is not None and len(events) == events.maxlen:
-            self.events_dropped += 1
-        events.append((time, kind, detail))
+        if self.record_segments:
+            self.events.append((time, kind, detail))
 
     def job_released(
         self, thread: str, release: int, deadline: int, job_no: int
@@ -286,31 +248,17 @@ class Trace:
     def context_switch(self, time: int, old: Optional[str], new: Optional[str]) -> None:
         """Count and note one context switch."""
         self.context_switches += 1
-        if self._record_events:
+        if self.record_segments:
             self.note(time, "context-switch", f"{old or IDLE} -> {new or IDLE}")
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
-    def events_truncated(self) -> bool:
-        """True when the ring buffer has dropped events."""
-        return self.events_dropped > 0
-
-    def event_log(self) -> List[Tuple[int, str, str]]:
-        """The stored events, with an explicit truncation marker.
-
-        When the ring buffer dropped events, the first entry is
-        ``(t_oldest, "<truncated>", "N older events dropped")`` so a
-        reader can never mistake a capped log for a complete one.
-        """
-        log = list(self.events)
-        if self.events_dropped:
-            oldest = log[0][0] if log else 0
-            log.insert(
-                0, (oldest, TRUNCATED, f"{self.events_dropped} older events dropped")
-            )
-        return log
+    def kernel_time_total(self) -> int:
+        """All kernel time charged so far (ns): the sum of
+        :attr:`kernel_time` over its categories."""
+        return sum(self.kernel_time.values())
 
     def signature(self, include_segments: bool = False) -> str:
         """Deterministic sha256 over the recorded behavior.
@@ -327,8 +275,7 @@ class Trace:
         hashes just its own tail.  Between calls the trace keeps:
 
         * a running sha256 over the events' text.  Sound because the
-          log grows only through :meth:`note`'s appends; a ring buffer
-          that dropped events (``max_events``) still raises.
+          log grows only through :meth:`note`'s appends.
         * the text of the closed job records ahead of the first open
           one.  The jobs follow the events in the hashed text, so they
           wait as text instead of entering the digest.  Sound because
@@ -343,8 +290,6 @@ class Trace:
         ``include_segments``, the segments.  Segments are hashed whole
         on every call because the last one can still grow by a merge.
         """
-        if self.events_dropped:
-            raise ValueError("signature of a truncated event log is meaningless")
         events = self.events
         hashed = self._events_hashed
         if len(events) > hashed:
@@ -412,8 +357,21 @@ class Trace:
         ]
 
     def deadline_violations(self, now: int) -> List[JobRecord]:
-        """Late completions plus overdue unfinished jobs."""
-        return self.misses() + self.unfinished(now)
+        """Late completions plus overdue unfinished jobs:
+        :meth:`misses` followed by :meth:`unfinished`, in one scan."""
+        late: List[JobRecord] = []
+        overdue: List[JobRecord] = []
+        for job in self.jobs:
+            deadline = job.deadline
+            if deadline is None:
+                continue
+            completion = job.completion
+            if completion is None:
+                if deadline < now:
+                    overdue.append(job)
+            elif completion > deadline:
+                late.append(job)
+        return late + overdue
 
     def jobs_of(self, thread: str) -> List[JobRecord]:
         """All job records of one thread, in release order."""
@@ -532,6 +490,4 @@ class Trace:
                     f"mean={to_us(round(stats['mean'])):.1f}us "
                     f"max={to_us(stats['max']):.1f}us"
                 )
-        if self.events_dropped:
-            lines.append(f"event log truncated: {self.events_dropped} dropped")
         return "\n".join(lines)

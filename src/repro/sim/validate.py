@@ -15,16 +15,23 @@ misses deadlines in simulation would be a real bug.  The converse
 pessimism, which :func:`validate_breakdown` reports but does not
 fail on.
 
-Two sources of model/operational mismatch are accounted for:
+Model and kernel differ in three ways, and they cut both ways:
 
 * the analytic model charges the *worst-case* selection cost on every
   scheduler invocation, while the kernel charges the cost of the queue
-  actually parsed -- the kernel is never more expensive;
+  actually parsed -- here the kernel is cheaper;
 * the analytic 1.5x blocking factor covers extra blocking system
   calls; the pure-compute simulation bodies make exactly one
-  block/unblock per period, again never more expensive.  Validation
-  therefore uses ``blocking_factor=1.0`` for a like-for-like check by
-  default.
+  block/unblock per period, again cheaper.  Validation therefore uses
+  ``blocking_factor=1.0`` for a like-for-like check by default;
+* the kernel charges two costs the analysis omits: a context switch
+  (``context_switch_ns``) on every switch, and, at a synchronous
+  release, every other task's release (``t_u + t_s`` each) before the
+  highest-priority task starts.  Here the kernel is *more* expensive,
+  so a set just inside the analytic breakdown point can miss a
+  deadline on the kernel (RM from n = 20 tasks, EDF from n = 40; see
+  "The CPU analysis must charge what the kernel charges" in
+  ROADMAP.md).
 """
 
 from __future__ import annotations

@@ -74,8 +74,9 @@ class EmeraldsSemaphore(StandardSemaphore):
         #: not yet at ``acquire_sem`` (Section 6.3.1).
         self.registry: List["Thread"] = []
         # statistics
+        #: Hint parks; each one saves the context switch a premature
+        #: wake-up would have cost (Section 6.2).
         self.parks = 0
-        self.saved_switches = 0
         self.registry_blocks = 0
 
     # ------------------------------------------------------------------
@@ -104,7 +105,6 @@ class EmeraldsSemaphore(StandardSemaphore):
             self.parked.append(thread)
             thread.parked_on = self.name
             self.parks += 1
-            self.saved_switches += 1
             obs = kernel.obs
             if obs is not None:
                 obs.on_sem_wait(self.name, len(self.waiters) + len(self.parked))

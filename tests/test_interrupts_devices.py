@@ -1,4 +1,4 @@
-"""Tests for interrupts, device models, timers, and the syscall facade."""
+"""Tests for interrupts, device models, and timers."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.kernel.devices import AperiodicDevice, PeriodicDevice
 from repro.kernel.kernel import Kernel
-from repro.kernel.program import Compute, Program, StateWrite, Wait
-from repro.kernel.syscalls import Syscalls
+from repro.kernel.program import Call, Compute, Program, StateWrite, Wait
 from repro.timeunits import ms, us
 
 
@@ -174,42 +173,19 @@ class TestTimers:
 
 
 class TestSyscallsFacade:
+    """There is no facade object: every system call enters through the
+    kernel's op interpreter, which counts it and charges ``syscall_ns``."""
+
     def test_get_time_charges_and_counts(self):
         model = OverheadModel()
         k = Kernel(EDFScheduler(model))
-        sys = Syscalls(k)
-        t = sys.get_time()
-        assert t == k.now
-        assert sys.counts["get_time"] == 1
+        seen = []
+        k.create_thread(
+            "t", Program([Call(lambda kern, th: seen.append(kern.now))]),
+            period=ms(10),
+        )
+        k.run_until(ms(5))
+        assert len(seen) == 1
+        assert 0 < seen[0] <= k.now
+        assert k.syscall_count == 1
         assert k.trace.kernel_time["syscall"] == model.syscall_ns
-
-    def test_signal_event(self):
-        k = zero_kernel()
-        k.create_event("E")
-        sys = Syscalls(k)
-        assert sys.signal_event("E") == 0
-        assert k.events_by_name["E"].pending
-
-    def test_state_write_and_read(self):
-        k = zero_kernel()
-        k.create_channel("c", slots=3)
-        sys = Syscalls(k)
-        sys.state_write("c", 99)
-        assert sys.state_read("c") == 99
-
-    def test_activate_thread(self):
-        k = zero_kernel()
-        k.create_thread("ap", Program([Compute(us(10))]), priority=1)
-        sys = Syscalls(k)
-        sys.activate_thread("ap")
-        trace = k.run_until(ms(1))
-        assert len(trace.jobs_of("ap")) == 1
-
-    def test_raise_interrupt(self):
-        k = zero_kernel()
-        hits = []
-        k.interrupts.register(9, lambda kern, vec: hits.append(vec))
-        sys = Syscalls(k)
-        sys.raise_interrupt(9)
-        k.run_until(ms(1))
-        assert hits == [9]

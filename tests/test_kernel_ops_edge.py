@@ -188,3 +188,4 @@ class TestPeriodBoundaryBookkeeping:
         )
         k.run_until(ms(35))
         assert k.syscall_count == 4
+        assert k.trace.kernel_time["syscall"] == 4 * model.syscall_ns

@@ -10,19 +10,26 @@ paper's correctness arguments rest on:
   (Section 6.2.3's argument that only execution chunks are swapped);
 * priority inheritance is always undone (no priority leaks);
 * the FP queue's structural invariants survive arbitrary PI traffic;
-* job accounting is conserved (releases = completions + in-flight).
+* job accounting is conserved (releases = completions + in-flight);
+* kernel time is conserved: the segments tile the run and every
+  derived count agrees with its one record.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.csd import CSDScheduler
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.rm import RMScheduler
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Acquire, Compute, Program, Release, Signal, Wait
 from repro.kernel.thread import ThreadState
+from repro.obs.collector import ObsCollector
+from repro.sim.trace import IDLE, KERNEL
 from repro.timeunits import ms, us
 
 
@@ -51,13 +58,21 @@ def applications(draw):
     return n_sems, threads
 
 
-def build(app, scheme, scheduler_cls, model):
+def build(app, scheme, scheduler_cls, model, record="full"):
+    """The application on a kernel.  Under CSD the 5 and 10 ms threads
+    go on the first DP queue and the rest on the FP queue; the other
+    policies ignore the assignment."""
     n_sems, threads = app
-    kernel = Kernel(scheduler_cls(model), sem_scheme=scheme)
+    kernel = Kernel(scheduler_cls(model), sem_scheme=scheme, record=record)
     for s in range(n_sems):
         kernel.create_semaphore(f"s{s}")
     for name, period, ops in threads:
-        kernel.create_thread(name, Program(list(ops)), period=period)
+        kernel.create_thread(
+            name,
+            Program(list(ops)),
+            period=period,
+            csd_queue=0 if period <= ms(10) else None,
+        )
     return kernel
 
 
@@ -179,3 +194,50 @@ def test_emeralds_never_costs_extra_switches(app):
         trace = kernel.run_until(ms(100))
         switches[scheme] = trace.context_switches
     assert switches["emeralds"] <= switches["standard"]
+
+
+#: The policies the conservation property runs under (CSD-2: one DP
+#: queue plus the FP queue).
+POLICIES = {
+    "edf": EDFScheduler,
+    "rm": RMScheduler,
+    "csd": partial(CSDScheduler, dp_queue_count=1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    applications(),
+    st.sampled_from(["standard", "emeralds"]),
+    st.sampled_from(sorted(POLICIES)),
+)
+def test_kernel_time_is_conserved(app, scheme, policy):
+    """Every count the kernel keeps has one record, and each view
+    derived from it agrees: the full-mode segments tile ``[0, now)``,
+    the kernel and idle segments sum to the kernel-time total and the
+    idle time, the collector's switch count is the trace's, and a
+    jobs-only run of the same application counts the same."""
+    kernel = build(app, scheme, POLICIES[policy], OverheadModel())
+    collector = ObsCollector().attach(kernel)
+    trace = kernel.run_until(ms(100))
+
+    covered = kernel_ns = idle_ns = 0
+    for seg in trace.segments:
+        assert seg.start == covered < seg.end
+        covered = seg.end
+        if seg.who == KERNEL:
+            kernel_ns += seg.duration
+        elif seg.who == IDLE:
+            idle_ns += seg.duration
+    assert covered == kernel.now
+    assert kernel_ns == trace.kernel_time_total
+    assert idle_ns == trace.idle_time
+    switches = collector.as_registry().counter("sched_context_switches_total")
+    assert switches.value == trace.context_switches
+
+    lean = build(app, scheme, POLICIES[policy], OverheadModel(), record="jobs-only")
+    lean_trace = lean.run_until(ms(100))
+    assert lean.now == kernel.now
+    assert lean_trace.kernel_time == trace.kernel_time
+    assert lean_trace.idle_time == trace.idle_time
+    assert lean_trace.context_switches == trace.context_switches

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.metrics import cpu_breakdown, miss_ratio
+from repro.analysis.metrics import miss_ratio
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Compute, Program
 from repro.obs.analyzers import response_percentiles
-from repro.sim.trace import Trace
+from repro.sim.trace import IDLE, KERNEL, Trace
 from repro.timeunits import ms
 
 
@@ -72,24 +72,28 @@ class TestMissRatio:
         assert miss_ratio(Trace(), 0) == 0.0
 
 
+def cpu_split(trace, end):
+    """Nanoseconds of ``[0, end)`` spent in thread ``t``, the kernel and idle."""
+    return {
+        who: round(trace.cpu_share(who, 0, end) * end)
+        for who in ("t", KERNEL, IDLE)
+    }
+
+
 class TestCpuBreakdown:
     def test_shares_sum_to_one_zero_model(self):
         k, trace = run_simple()
-        b = cpu_breakdown(trace, 0, k.now)
-        assert b.application_ns == ms(20)
-        assert b.kernel_ns == 0
-        assert b.idle_ns == ms(80)
-        assert b.application_share + b.kernel_share + b.idle_share == pytest.approx(1.0)
+        ns = cpu_split(trace, k.now)
+        assert ns["t"] == ms(20)
+        assert ns[KERNEL] == 0
+        assert ns[IDLE] == ms(80)
+        shares = [trace.cpu_share(who, 0, k.now) for who in ns]
+        assert sum(shares) == pytest.approx(1.0)
 
     def test_kernel_time_appears_with_model(self):
         k, trace = run_simple(model=OverheadModel())
-        b = cpu_breakdown(trace, 0, k.now)
-        assert b.kernel_ns > 0
-        assert b.kernel_by_category["sched"] > 0
-        assert (
-            b.application_ns + b.kernel_ns + b.idle_ns == b.window_ns
-        )
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            cpu_breakdown(Trace(), 10, 10)
+        ns = cpu_split(trace, k.now)
+        assert ns[KERNEL] > 0
+        assert ns[KERNEL] == trace.kernel_time_total
+        assert trace.kernel_time["sched"] > 0
+        assert ns["t"] + ns[KERNEL] + ns[IDLE] == k.now

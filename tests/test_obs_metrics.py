@@ -163,13 +163,15 @@ class TestCollector:
             ObsCollector().attach(kernel)
 
     def test_demo_counts_pi_and_blocking(self):
-        _kernel, _trace, collector = run_pi_demo("standard")
+        _kernel, trace, collector = run_pi_demo("standard")
         # Both semaphores saw contention and donations (2 periods).
         assert collector.sems["M"].blocks == 2
         assert collector.sems["S"].blocks == 2
         assert collector.sems["M"].donations > 0
         assert collector.sems["M"].blocked_ns > 0
-        assert collector.switches > 0
+        switches = collector.as_registry().counter("sched_context_switches_total")
+        assert trace.context_switches > 0
+        assert switches.value == trace.context_switches
         assert collector.queue_depth_max >= 1
 
     def test_counters_and_full_mode_agree_on_shared_metrics(self):

@@ -1,5 +1,5 @@
-"""Tests for the perf subsystem: recording modes, the ring buffer,
-the parallel sweep runner, the trajectory, counters, and the CLI.
+"""Tests for the perf subsystem: recording modes, the parallel sweep
+runner, the trajectory, counters, and the CLI.
 
 The contract under test is the one the optimization work leans on:
 recording less must not change *behavior* (job-level signatures are
@@ -29,7 +29,7 @@ from repro.perf.trajectory import (
 )
 from repro.sim.breakdown import figure_series
 from repro.sim.kernelsim import simulate_workload
-from repro.sim.trace import TRUNCATED, Trace
+from repro.sim.trace import Trace
 from repro.sim.workload import generate_workload
 from repro.timeunits import ms
 
@@ -79,33 +79,6 @@ def test_unknown_record_mode_rejected():
     for mode in ("everything", "off"):
         with pytest.raises(ValueError):
             Trace(record=mode)
-    with pytest.raises(ValueError):
-        Trace(max_events=0)
-
-
-# ----------------------------------------------------------------------
-# event ring buffer
-# ----------------------------------------------------------------------
-def test_event_ring_buffer_caps_and_marks_truncation():
-    trace = Trace(record="full", max_events=5)
-    for i in range(12):
-        trace.note(i, "tick", str(i))
-    assert len(trace.events) == 5
-    assert trace.events_dropped == 7
-    assert trace.events_truncated
-    log = trace.event_log()
-    assert log[0][1] == TRUNCATED
-    assert "7 older events dropped" in log[0][2]
-    # The newest events survive.
-    assert [e[0] for e in log[1:]] == [7, 8, 9, 10, 11]
-
-
-def test_truncated_trace_refuses_signature():
-    trace = Trace(record="full", max_events=2)
-    for i in range(3):
-        trace.note(i, "tick", str(i))
-    with pytest.raises(ValueError):
-        trace.signature()
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.analyzers import response_percentiles
-from repro.sim.trace import IDLE, KERNEL, JobRecord, Trace
+from repro.kernel.kernel import Kernel
+from repro.sim.trace import IDLE, KERNEL, JobRecord, Segment, Trace
 from repro.timeunits import ms
 
 
@@ -51,17 +52,19 @@ class TestSegments:
 
 class TestKernelTime:
     def test_categories_accumulate(self):
-        t = Trace()
-        t.charge_kernel(0, 5, "sched")
-        t.charge_kernel(5, 9, "sched")
-        t.charge_kernel(9, 10, "sem")
-        assert t.kernel_time["sched"] == 9
+        k = Kernel()
+        k.charge(5, "sched")
+        k.charge(4, "sched")
+        k.charge(1, "sem")
+        t = k.trace
+        assert t.kernel_time == {"sched": 9, "sem": 1}
         assert t.kernel_time_total == 10
+        assert k.now == 10
 
     def test_kernel_segments_recorded(self):
-        t = Trace()
-        t.charge_kernel(0, 5, "sched")
-        assert t.segments[0].who == KERNEL
+        k = Kernel()
+        k.charge(5, "sched")
+        assert k.trace.segments == [Segment(0, 5, KERNEL)]
 
 
 class TestJobs:
@@ -265,12 +268,3 @@ class TestSignature:
                 assert trace.signature() == oracle_signature(trace)
         trace.job_aborted("a", 1, 2601)
         assert trace.signature(True) == oracle_signature(trace, True)
-
-    def test_truncation_after_a_signature_still_raises(self):
-        trace = Trace(max_events=2)
-        trace.note(0, "event", "x")
-        trace.signature()
-        trace.note(1, "event", "y")
-        trace.note(2, "event", "z")
-        with pytest.raises(ValueError, match="truncated"):
-            trace.signature()
