@@ -173,15 +173,19 @@ class CSDScheduler(Scheduler):
     # scheduling primitives (cost cases of Section 5.4 / Table 3)
     # ------------------------------------------------------------------
     def _block(self, task: Schedulable) -> int:
-        index = self.queue_index_of(task)
-        queue = self._queue_at(index)
-        queue.block(task)
-        if index == self.fp_index:
+        # Per-job path: the task's back-pointer names its queue, and
+        # the ``in`` (identity compares) only proves the queue is ours.
+        queue = task._queue
+        if queue is self.fp_queue:
             # FP task blocks: t_b = O(n - r), advance highestp.
-            key = (True, self.fp_queue._size)
-        else:
+            queue.block(task)
+            key = (True, queue._size)
+        elif queue in self.dp_queues:
             # DP task blocks: t_b = O(1), a TCB flag update.
+            queue.block(task)
             key = (False, len(queue._tasks))
+        else:
+            raise ValueError(f"{task.name} is not scheduled by this CSD scheduler")
         cost = self._block_costs.get(key)
         if cost is None:
             fn = self.model.rm_block if key[0] else self.model.edf_block
@@ -189,13 +193,15 @@ class CSDScheduler(Scheduler):
         return cost
 
     def _unblock(self, task: Schedulable) -> int:
-        index = self.queue_index_of(task)
-        queue = self._queue_at(index)
-        queue.unblock(task)
-        if index == self.fp_index:
-            key = (True, self.fp_queue._size)
-        else:
+        queue = task._queue  # as in _block
+        if queue is self.fp_queue:
+            queue.unblock(task)
+            key = (True, queue._size)
+        elif queue in self.dp_queues:
+            queue.unblock(task)
             key = (False, len(queue._tasks))
+        else:
+            raise ValueError(f"{task.name} is not scheduled by this CSD scheduler")
         cost = self._unblock_costs.get(key)
         if cost is None:
             fn = self.model.rm_unblock if key[0] else self.model.edf_unblock

@@ -170,7 +170,8 @@ class UnsortedQueue:
 
     def block(self, task: Schedulable) -> None:
         """Mark a ready task blocked.  O(1)."""
-        self._check_membership(task)
+        if task._queue is not self:  # _check_membership, inlined
+            raise ValueError(f"{task.name} is not on queue {self.name}")
         if not task.ready:
             raise ValueError(f"{task.name} is already blocked")
         task.ready = False
@@ -180,7 +181,8 @@ class UnsortedQueue:
 
     def unblock(self, task: Schedulable) -> None:
         """Mark a blocked task ready.  O(1)."""
-        self._check_membership(task)
+        if task._queue is not self:  # _check_membership, inlined
+            raise ValueError(f"{task.name} is not on queue {self.name}")
         if task.ready:
             raise ValueError(f"{task.name} is already ready")
         task.ready = True
@@ -328,7 +330,8 @@ class SortedQueue:
     # ------------------------------------------------------------------
     def block(self, task: Schedulable) -> None:
         """Mark ready task blocked; advance ``highestp`` if needed. O(n)."""
-        self._check_membership(task)
+        if task._queue is not self:  # _check_membership, inlined
+            raise ValueError(f"{task.name} is not on queue {self.name}")
         if not task.ready:
             raise ValueError(f"{task.name} is already blocked")
         task.ready = False
@@ -343,7 +346,8 @@ class SortedQueue:
 
     def unblock(self, task: Schedulable) -> None:
         """Mark blocked task ready; O(1) compare against ``highestp``."""
-        self._check_membership(task)
+        if task._queue is not self:  # _check_membership, inlined
+            raise ValueError(f"{task.name} is not on queue {self.name}")
         if task.ready:
             raise ValueError(f"{task.name} is already ready")
         task.ready = True

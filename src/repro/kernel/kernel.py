@@ -31,6 +31,7 @@ hint says its next lock attempt would block anyway.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.edf import EDFScheduler
@@ -56,6 +57,15 @@ from repro.sync.parser import held_across_blocking, insert_hints
 from repro.sync.semaphore import StandardSemaphore
 
 __all__ = ["Kernel", "KernelError"]
+
+# Thread states bound once.  ``EnumType.__getattr__`` puts every
+# class-level Enum member read on CPython 3.10 and 3.11 on the slow
+# attribute-hook path, about 5x a plain class attribute and over 10x
+# a global, and the per-job path makes several (3.12 dropped the hook).
+STATE_IDLE = ThreadState.IDLE
+STATE_READY = ThreadState.READY
+STATE_RUNNING = ThreadState.RUNNING
+STATE_BLOCKED = ThreadState.BLOCKED
 
 
 class KernelError(Exception):
@@ -136,8 +146,6 @@ class Kernel:
         self._held_across_blocking: set = set()
         self._need_resched = False
         self._stop = False
-        #: Pending release events by thread name (cancelled on kill).
-        self._release_events: Dict[str, ScheduledEvent] = {}
         self.syscall_count = 0
         #: Engine events fired (releases, interrupts, timers, checks).
         self.events_popped = 0
@@ -306,7 +314,9 @@ class Kernel:
         self.threads[name] = thread
         self.scheduler.add_task(thread)
         if spec is not None:
-            self._schedule_release(thread, phase)
+            # The thread's one release action: every later release
+            # event carries it forward (see _on_release).
+            self._schedule_release(thread, phase, partial(self._on_release, thread))
         return thread
 
     def create_semaphore(
@@ -398,9 +408,9 @@ class Kernel:
     # ------------------------------------------------------------------
     def block_thread(self, thread: Thread, reason: str) -> None:
         """Block a thread, charging ``t_b`` (Section 5.1)."""
-        if thread.state == ThreadState.BLOCKED:
+        if thread.state == STATE_BLOCKED:
             raise KernelError(f"{thread.name} is already blocked")
-        thread.state = ThreadState.BLOCKED
+        thread.state = STATE_BLOCKED
         thread.blocked_on = reason
         cost = self.scheduler.on_block(thread)
         self.charge(cost, "sched")
@@ -413,13 +423,13 @@ class Kernel:
         """Make a blocked thread ready, charging ``t_u`` and ``t_s``."""
         if thread.dead:
             return
-        if thread.state != ThreadState.BLOCKED and thread.state != ThreadState.IDLE:
+        if thread.state != STATE_BLOCKED and thread.state != STATE_IDLE:
             raise KernelError(f"{thread.name} is not blocked")
         if thread.suspended:
             # Deferred wake-up: the thread becomes runnable at resume.
             thread.blocked_on = "suspended"
             return
-        thread.state = ThreadState.READY
+        thread.state = STATE_READY
         thread.blocked_on = None
         cost = self.scheduler.on_unblock(thread)
         self.charge(cost, "sched")
@@ -478,7 +488,7 @@ class Kernel:
             self.trace.note(self.now, "sporadic-rejected", thread.name)
             return False
         thread.last_activation = self.now
-        if thread.state == ThreadState.IDLE:
+        if thread.state == STATE_IDLE:
             thread.start_job(self.now)
             record = self.trace.job_released(
                 thread.name, self.now, thread.abs_deadline, thread.job_no
@@ -506,7 +516,7 @@ class Kernel:
         if thread.suspended:
             raise KernelError(f"{name} is already suspended")
         thread.suspended = True
-        if thread.state in (ThreadState.READY, ThreadState.RUNNING):
+        if thread.state in (STATE_READY, STATE_RUNNING):
             self.block_thread(thread, "suspended")
             self.trace.note(self.now, "suspend", name)
             self._dispatch_if_needed()
@@ -543,13 +553,12 @@ class Kernel:
             )
         thread.dead = True
         self._detach_from_waits(thread)
-        release_event = self._release_events.pop(name, None)
-        if release_event is not None:
-            release_event.cancel()
+        if thread.release_event is not None:
+            thread.release_event.cancel()
         if thread.ready:
             self.scheduler.on_block(thread)
         self.scheduler.remove_task(thread)
-        thread.state = ThreadState.BLOCKED
+        thread.state = STATE_BLOCKED
         thread.blocked_on = "dead"
         self.trace.note(self.now, "kill", name)
         if self.running is thread:
@@ -686,7 +695,7 @@ class Kernel:
         if thread.ready:
             cost = self.scheduler.on_block(thread)
             self.charge(cost, "sched")
-        thread.state = ThreadState.IDLE
+        thread.state = STATE_IDLE
         thread.blocked_on = None
         thread.pending_releases = 0
         thread.abs_deadline = None
@@ -753,19 +762,26 @@ class Kernel:
     # ------------------------------------------------------------------
     # periodic releases
     # ------------------------------------------------------------------
-    def _schedule_release(self, thread: Thread, nominal: int) -> None:
+    def _schedule_release(
+        self, thread: Thread, nominal: int, action: Callable[[], None]
+    ) -> None:
+        """Enqueue the release nominally due at ``nominal``.  The event
+        and its nominal time live on the thread, so the action needs no
+        per-job closure and ``kill_thread`` can cancel the event."""
         now = self.clock.now
-        self._release_events[thread.name] = self.events.schedule(
-            nominal if nominal > now else now,
-            lambda: self._on_release(thread, nominal),
-            thread.release_label,
+        thread.release_nominal = nominal
+        thread.release_event = self.events.schedule(
+            nominal if nominal > now else now, action, thread.release_label
         )
 
-    def _on_release(self, thread: Thread, nominal: int) -> None:
+    def _on_release(self, thread: Thread) -> None:
         assert thread.spec is not None
         if thread.dead:
             return
-        self._schedule_release(thread, nominal + thread.spec.period)
+        nominal = thread.release_nominal
+        self._schedule_release(
+            thread, nominal + thread.spec.period, thread.release_event.action
+        )
         if thread.restart_until is not None:
             if self.now < thread.restart_until:
                 self.trace.note(self.now, "release-skipped-backoff", thread.name)
@@ -776,7 +792,7 @@ class Kernel:
         ):
             self.trace.note(self.clock.now, "release-shed", thread.name)
             return
-        if thread.state == ThreadState.IDLE:
+        if thread.state == STATE_IDLE:
             thread.start_job(nominal)
             record = self.trace.job_released(
                 thread.name, nominal, thread.abs_deadline, thread.job_no
@@ -793,7 +809,7 @@ class Kernel:
             # is four frames deep, and periodic releases pay it on
             # every job.  Must mirror those methods exactly.
             thread.pending_hint = None
-            thread.state = ThreadState.READY
+            thread.state = STATE_READY
             thread.blocked_on = None
             sched = self.scheduler
             cost = sched._unblock(thread)
@@ -863,8 +879,7 @@ class Kernel:
         release immediately, or park the thread until the next one."""
         if thread.pending_releases > 0:
             thread.pending_releases -= 1
-            if thread.periodic:
-                assert thread.spec is not None
+            if thread.spec is not None:
                 nominal = thread.release_time + thread.spec.period
             else:
                 nominal = self.now
@@ -875,8 +890,8 @@ class Kernel:
             if self._miss_handlers or self.stop_on_deadline_miss:
                 self._arm_deadline_check(thread, record)
             return  # stays ready; next job starts immediately
-        thread.state = ThreadState.BLOCKED
-        thread.blocked_on = "period" if thread.periodic else "activation"
+        thread.state = STATE_BLOCKED
+        thread.blocked_on = "period" if thread.spec is not None else "activation"
         thread.abs_deadline = None
         thread.rank_cache = None
         # Inlined scheduler.on_block + charge (this runs once per job).
@@ -894,7 +909,7 @@ class Kernel:
             kernel_time["sched"] = kernel_time.get("sched", 0) + cost
             if trace.record_segments:
                 trace.add_segment(start, start + cost, KERNEL)
-        thread.state = ThreadState.IDLE
+        thread.state = STATE_IDLE
         thread.pending_hint = thread.period_hint
         self._need_resched = True
 
@@ -939,11 +954,11 @@ class Kernel:
             )
             if trace.record_segments:
                 trace.add_segment(start, start + cs, KERNEL)
-        preempted = old is not None and old.state == ThreadState.RUNNING
+        preempted = old is not None and old.state == STATE_RUNNING
         if preempted:
-            old.state = ThreadState.READY
+            old.state = STATE_READY
         if new is not None:
-            new.state = ThreadState.RUNNING
+            new.state = STATE_RUNNING
         self.running = new
         self.trace.context_switch(
             self.clock.now, old.name if old else None, new.name if new else None

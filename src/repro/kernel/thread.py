@@ -25,6 +25,7 @@ from repro.kernel.program import Program
 
 if TYPE_CHECKING:
     from repro.kernel.process import Process
+    from repro.sim.engine import ScheduledEvent
 
 __all__ = ["Thread", "ThreadState"]
 
@@ -68,6 +69,8 @@ class Thread(Schedulable):
         "_ops",
         "_ops_len",
         "release_label",
+        "release_event",
+        "release_nominal",
         "process",
         "state",
         "pc",
@@ -138,6 +141,11 @@ class Thread(Schedulable):
         #: Event label for this thread's periodic releases (built once;
         #: releases are scheduled once per period per thread).
         self.release_label = f"release:{name}"
+        #: The pending periodic release event (cancelled on kill); its
+        #: action is built once and carried from event to event.
+        self.release_event: Optional["ScheduledEvent"] = None
+        #: Nominal time of that pending release.
+        self.release_nominal = 0
         self.process = process
         if process is not None:
             process.threads.append(self)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
+from repro.core.rm import RMScheduler
 from repro.core.schedulability import (
     band_sizes_from_splits,
     csd_overhead_per_period,
@@ -16,6 +18,8 @@ from repro.core.schedulability import (
     rm_schedulable,
 )
 from repro.core.task import TaskSpec, Workload, table2_workload
+from repro.kernel.kernel import Kernel
+from repro.kernel.program import Compute, Program
 from repro.timeunits import ms, us
 
 
@@ -235,3 +239,50 @@ class TestConsistency:
         if csd_schedulable(w, (r,), model):
             smaller = w.scaled(0.5)
             assert csd_schedulable(smaller, (r,), model)
+
+
+class TestKernelChargesMatchAnalysis:
+    """ROADMAP item 1's cheap invariant: for one periodic task, what the
+    kernel charges per job against the analytic per-period charge
+    ``t_b + t_u + 2 t_s`` (blocking factor 1)."""
+
+    JOBS = 10
+    PERIOD = ms(10)
+    POLICIES = pytest.mark.parametrize(
+        "scheduler_cls, per_period, per_job_ns",
+        [
+            (EDFScheduler, edf_overhead_per_period, 5_700),
+            (RMScheduler, rm_overhead_per_period, 3_960),
+        ],
+        ids=["edf", "rm"],
+    )
+
+    def run(self, scheduler_cls):
+        model = OverheadModel()
+        kernel = Kernel(scheduler_cls(model))
+        kernel.create_thread("t", Program([Compute(ms(1))]), period=self.PERIOD)
+        # Stops before the release due at the horizon.
+        trace = kernel.run_until(self.JOBS * self.PERIOD)
+        assert [job.completion is not None for job in trace.jobs] == [True] * self.JOBS
+        return model, trace
+
+    @POLICIES
+    def test_scheduler_and_switch_charges_per_job(
+        self, scheduler_cls, per_period, per_job_ns
+    ):
+        model, trace = self.run(scheduler_cls)
+        assert per_period(model, 1, 1.0) == per_job_ns
+        assert trace.kernel_time["sched"] == self.JOBS * per_job_ns
+        assert trace.kernel_time["context-switch"] == (
+            self.JOBS * 2 * model.context_switch_ns
+        )
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1, cause 1")
+    @POLICIES
+    def test_total_kernel_time_per_job_is_the_analytic_charge(
+        self, scheduler_cls, per_period, per_job_ns
+    ):
+        # Today the kernel charges two context switches (20,000 ns) per
+        # job more than the analysis does.
+        _, trace = self.run(scheduler_cls)
+        assert trace.kernel_time_total == self.JOBS * per_job_ns

@@ -334,3 +334,18 @@ class TestCSDScheduler:
         assert s.tasks() == []
         with pytest.raises(ValueError):
             s.queue_index_of(a)
+        # block/unblock find the queue through the task's back-pointer
+        # and still refuse a task this scheduler does not hold: one it
+        # removed, and ones held by another CSD scheduler (a ready DP
+        # task to block, a blocked FP task to unblock).
+        other = self.make(dp=1)
+        b = ent("b", 2, ready=True, deadline=20, queue=0)
+        c = ent("c", 3, queue=1)
+        other.add_task(b)
+        other.add_task(c)
+        for task, op in ((a, s.on_block), (a, s.on_unblock),
+                         (b, s.on_block), (c, s.on_unblock)):
+            with pytest.raises(ValueError, match="not scheduled by this CSD"):
+                op(task)
+        assert b.ready and not c.ready
+        assert s.stats.blocks == s.stats.unblocks == 0

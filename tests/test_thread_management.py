@@ -88,7 +88,11 @@ class TestKill:
         k = zero_kernel()
         k.create_thread("t", Program([Compute(ms(1))]), period=ms(5))
         k.run_until(ms(7))
+        live_events = len(k.events)
         k.kill_thread("t")
+        # The pending release is cancelled, not merely skipped by the
+        # dead check when it fires.
+        assert len(k.events) == live_events - 1
         jobs_before = len(k.trace.jobs_of("t"))
         k.run_until(ms(50))
         assert len(k.trace.jobs_of("t")) == jobs_before
