@@ -45,9 +45,13 @@ class CSDScheduler(Scheduler):
             UnsortedQueue(f"DP{i + 1}") for i in range(dp_queue_count)
         ]
         self.fp_queue = SortedQueue("FP")
-        #: Graceful degradation: while a band overruns, releases of its
-        #: lowest-criticality tasks are shed (see :meth:`admit_release`).
-        self.shed_overload = shed_overload
+        # Graceful degradation: while a band overruns, releases of its
+        # lowest-criticality tasks are shed (see :meth:`_shed_release`).
+        # The policy is bound on the instance only when shedding, so the
+        # kernel sees the base admit-everything method otherwise and
+        # never calls it.
+        if shed_overload:
+            self.admit_release = self._shed_release
         #: Releases refused by the shedding policy, by task name.
         self.shed_counts: Dict[str, int] = {}
         # PI bookkeeping: tasks temporarily migrated to a higher queue,
@@ -137,8 +141,9 @@ class CSDScheduler(Scheduler):
     # ------------------------------------------------------------------
     # overload shedding (graceful degradation, beyond the paper)
     # ------------------------------------------------------------------
-    def admit_release(self, task: Schedulable, now: int) -> bool:
-        """Shed releases of low-criticality tasks in an overrunning band.
+    def _shed_release(self, task: Schedulable, now: int) -> bool:
+        """``admit_release`` under ``shed_overload=True``: shed releases
+        of low-criticality tasks in an overrunning band.
 
         A band is *overrunning* when some other task in it is ready
         with an expired deadline, or is so far behind that releases
@@ -149,8 +154,6 @@ class CSDScheduler(Scheduler):
         most critical tasks of the band keep their slack instead of
         queueing behind overload-inflated EDF backlogs.
         """
-        if not self.shed_overload:
-            return True
         queue = self._queue_at(self.queue_index_of(task))
         overrun_criticality: Optional[int] = None
         for other in queue:

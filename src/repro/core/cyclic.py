@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.task import TaskSpec, Workload
+from repro.core.task import Workload
 
 __all__ = ["CyclicSchedule", "CyclicScheduleError", "build_cyclic_schedule"]
 
@@ -132,13 +132,6 @@ class CyclicSchedule:
         return worst
 
 
-def _hyperperiod(workload: Workload) -> int:
-    value = 1
-    for task in workload:
-        value = value * task.period // math.gcd(value, task.period)
-    return value
-
-
 def _frame_candidates(workload: Workload, hyperperiod: int) -> List[int]:
     """Legal minor frames, largest first."""
     min_period = min(t.period for t in workload)
@@ -170,7 +163,7 @@ def build_cyclic_schedule(
         raise CyclicScheduleError("empty workload")
     if workload.utilization > 1.0:
         raise CyclicScheduleError("utilization exceeds 1")
-    hyperperiod = _hyperperiod(workload)
+    hyperperiod = math.lcm(*(t.period for t in workload))
     if frame is None:
         candidates = _frame_candidates(workload, hyperperiod)
         if not candidates:

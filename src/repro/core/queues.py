@@ -18,8 +18,8 @@ Table 1:
   for comparison: a binary heap of ready tasks with O(log n)
   insert/delete.
 
-Each structure counts the work it actually performs (``last_scan_steps``
-and ``total_scan_steps``), so tests can verify the claimed asymptotics
+Each structure counts the work its last operation performed
+(``last_scan_steps``), so tests can verify the claimed asymptotics
 structurally rather than by wall-clock timing.
 """
 
@@ -140,7 +140,6 @@ class UnsortedQueue:
         self._tasks: List[Schedulable] = []
         self.ready_count = 0
         self.last_scan_steps = 0
-        self.total_scan_steps = 0
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -177,7 +176,6 @@ class UnsortedQueue:
         task.ready = False
         self.ready_count -= 1
         self.last_scan_steps = 1
-        self.total_scan_steps += 1
 
     def unblock(self, task: Schedulable) -> None:
         """Mark a blocked task ready.  O(1)."""
@@ -188,7 +186,6 @@ class UnsortedQueue:
         task.ready = True
         self.ready_count += 1
         self.last_scan_steps = 1
-        self.total_scan_steps += 1
 
     def select(self) -> Optional[Schedulable]:
         """Scan for the earliest-effective-deadline ready task.  O(n).
@@ -229,9 +226,7 @@ class UnsortedQueue:
                 best = task
                 best_deadline = deadline
                 best_key = key
-        steps = len(tasks)
-        self.last_scan_steps = steps
-        self.total_scan_steps += steps
+        self.last_scan_steps = len(tasks)
         return best
 
     def check_invariants(self) -> None:
@@ -281,7 +276,6 @@ class SortedQueue:
         self._size = 0
         self.ready_count = 0
         self.last_scan_steps = 0
-        self.total_scan_steps = 0
 
     def __len__(self) -> int:
         return self._size
@@ -342,7 +336,6 @@ class SortedQueue:
             self._highestp = self._next_ready(node.next)
         else:
             self.last_scan_steps = 1
-            self.total_scan_steps += 1
 
     def unblock(self, task: Schedulable) -> None:
         """Mark blocked task ready; O(1) compare against ``highestp``."""
@@ -356,12 +349,10 @@ class SortedQueue:
         assert node is not None
         self._maybe_promote_highestp(node)
         self.last_scan_steps = 1
-        self.total_scan_steps += 1
 
     def select(self) -> Optional[Schedulable]:
         """Return the task under ``highestp``.  O(1)."""
         self.last_scan_steps = 1
-        self.total_scan_steps += 1
         return self._highestp.task if self._highestp is not None else None
 
     # ------------------------------------------------------------------
@@ -412,7 +403,6 @@ class SortedQueue:
                 if node.task.ready:
                     self._maybe_promote_highestp(node)
         self.last_scan_steps = 1
-        self.total_scan_steps += 1
 
     def move_before(self, task: Schedulable, anchor: Schedulable) -> None:
         """O(1) PI step: unlink ``task`` and relink it directly ahead of
@@ -483,7 +473,6 @@ class SortedQueue:
             cursor = cursor.next
             steps += 1
         self.last_scan_steps = steps + 1
-        self.total_scan_steps += steps + 1
         if cursor is None:
             # append at tail
             node.prev = self._tail
@@ -526,7 +515,6 @@ class SortedQueue:
             node = node.next
             steps += 1
         self.last_scan_steps = steps + 1
-        self.total_scan_steps += steps + 1
         return node
 
     def _maybe_promote_highestp(self, node: _Node) -> None:
@@ -568,7 +556,6 @@ class ReadyHeap:
         self._counter = 0
         self.ready_count = 0
         self.last_scan_steps = 0
-        self.total_scan_steps = 0
 
     def __len__(self) -> int:
         return len(self._members)
@@ -626,12 +613,10 @@ class ReadyHeap:
                 heapq.heappop(self._heap)
                 continue
             self.last_scan_steps = steps
-            self.total_scan_steps += steps
             task = entry[2]
             assert isinstance(task, Schedulable)
             return task
         self.last_scan_steps = steps
-        self.total_scan_steps += steps
         return None
 
     def check_invariants(self) -> None:

@@ -39,7 +39,6 @@ unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
@@ -220,16 +219,6 @@ def _busy_period(costs: Sequence[Tuple[int, int]]) -> Optional[int]:
     return None
 
 
-def _lcm_capped(periods: Sequence[int], cap: int = 1_000_000_000_000) -> Optional[int]:
-    """LCM of the periods, or ``None`` when it exceeds ``cap`` ns."""
-    value = 1
-    for p in periods:
-        value = value * p // math.gcd(value, p)
-        if value > cap:
-            return None
-    return value
-
-
 def edf_schedulable(
     workload: Workload,
     model: OverheadModel = ZERO_OVERHEAD,
@@ -279,8 +268,8 @@ def _demand_feasible(
         # The busy period diverges exactly at U = 1; the synchronous
         # schedule repeats with the hyperperiod, so checking one
         # hyperperiod is decisive.
-        horizon = _lcm_capped([p for p, _ in everything])
-        if horizon is None:
+        horizon = math.lcm(*(p for p, _ in everything))
+        if horizon > 1_000_000_000_000:
             return False  # hyperperiod too large; knife-edge case
     else:
         horizon = _busy_period(everything)

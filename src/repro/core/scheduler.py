@@ -22,7 +22,7 @@ semaphore implementations of Section 6:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.overhead import OverheadModel
@@ -42,7 +42,6 @@ class SchedulerStats:
     blocks: int = 0
     unblocks: int = 0
     selects: int = 0
-    pi_operations: int = 0
     charged_block_ns: int = 0
     charged_unblock_ns: int = 0
     charged_select_ns: int = 0
@@ -125,7 +124,6 @@ class Scheduler(ABC):
         cost = self._raise_priority(task, donor)
         task.rank_cache = None
         donor.rank_cache = None
-        self.stats.pi_operations += 1
         self.stats.charged_pi_ns += cost
         return cost
 
@@ -133,7 +131,6 @@ class Scheduler(ABC):
         """Standard PI step: return ``task`` to its base priority."""
         cost = self._restore_priority(task)
         task.rank_cache = None
-        self.stats.pi_operations += 1
         self.stats.charged_pi_ns += cost
         return cost
 
@@ -150,7 +147,6 @@ class Scheduler(ABC):
         if cost is not None:
             holder.rank_cache = None
             placeholder.rank_cache = None
-            self.stats.pi_operations += 1
             self.stats.charged_pi_ns += cost
         return cost
 
@@ -161,9 +157,12 @@ class Scheduler(ABC):
         """Admission check the kernel runs at every job release.
 
         The default policy admits everything (the paper's kernel never
-        refuses work).  Schedulers implementing graceful degradation
-        (``CSDScheduler(shed_overload=True)``) override this to skip
-        releases of low-criticality tasks while their band overruns.
+        refuses work).  A scheduler implementing graceful degradation
+        replaces it on the instance (``CSDScheduler(shed_overload=True)``
+        binds its shedding policy) to skip releases of low-criticality
+        tasks while their band overruns.  The kernel looks once, at
+        construction, at the instance's bound method, and never calls
+        this default.
         """
         return True
 

@@ -47,10 +47,7 @@ class Mailbox:
         #: Threads blocked in send because the mailbox was full.
         self.senders: List["Thread"] = []
         # statistics
-        self.sends = 0
-        self.receives = 0
         self.blocked_sends = 0
-        self.blocked_receives = 0
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -81,7 +78,6 @@ class Mailbox:
             thread.process.memory.check_readable(buffer, size)
         if self.receivers:
             # Direct hand-off: copy straight to the waiting receiver.
-            self.sends += 1
             kernel.charge(self._copy_cost(kernel, size), "ipc")
             receiver = min(self.receivers, key=kernel.priority_rank)
             self.receivers.remove(receiver)
@@ -93,7 +89,6 @@ class Mailbox:
             self.senders.append(thread)
             kernel.block_thread(thread, f"mbox-send:{self.name}")
             return False
-        self.sends += 1
         kernel.charge(self._copy_cost(kernel, size), "ipc")
         self._messages.append((payload, size))
         return True
@@ -116,12 +111,10 @@ class Mailbox:
             thread.process.memory.check_writable(buffer, self.max_message_size)
         if self._messages:
             payload, size = self._messages.popleft()
-            self.receives += 1
             kernel.charge(self._copy_cost(kernel, size), "ipc")
             thread.last_received = payload
             self._wake_sender(kernel)
             return True
-        self.blocked_receives += 1
         thread.pending_hint = hint
         self.receivers.append(thread)
         kernel.block_thread(thread, f"mbox-recv:{self.name}")

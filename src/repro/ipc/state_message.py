@@ -79,7 +79,6 @@ class StateChannel:
         #: Per-slot (version, value); version counts writes to the slot.
         self._buffer: List[List[Any]] = [[0, None] for _ in range(slots)]
         self._latest = 0
-        self._write_count = 0
         self.writer_name: Optional[str] = None
         # statistics
         self.writes = 0
@@ -107,7 +106,6 @@ class StateChannel:
         slot[0] += 1
         slot[1] = value
         self._latest = index
-        self._write_count += 1
         self.writes += 1
         return index
 

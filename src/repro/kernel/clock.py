@@ -40,7 +40,6 @@ class Timer:
         self.interval = interval
         self.callback = callback
         self.periodic = periodic
-        self.fires = 0
         self._armed: Optional["ScheduledEvent"] = None
 
     @property
@@ -83,7 +82,6 @@ class Timer:
 
     def _fire(self) -> None:
         self._armed = None
-        self.fires += 1
         self.callback(self._kernel)
         if self.periodic:
             self._armed = self._kernel.schedule_event(

@@ -45,7 +45,6 @@ class PeriodicDevice:
         self.period = period
         self.jitter = jitter
         self._rng = random.Random(seed)
-        self.interrupts_raised = 0
         self._next_nominal = kernel.now + phase
         self._schedule_next()
 
@@ -54,7 +53,6 @@ class PeriodicDevice:
         fire_at = self._next_nominal + offset
 
         def fire() -> None:
-            self.interrupts_raised += 1
             self._kernel.interrupts._dispatch(self.vector)
             self._next_nominal += self.period
             self._schedule_next()
@@ -86,7 +84,6 @@ class AperiodicDevice:
         self._kernel = kernel
         self.name = name
         self.vector = vector
-        self.interrupts_raised = 0
         if (arrivals is None) == (mean_interarrival is None):
             raise ValueError("pass exactly one of arrivals / mean_interarrival")
         if arrivals is not None:
@@ -109,7 +106,6 @@ class AperiodicDevice:
 
     def _schedule_at(self, time: int) -> None:
         def fire() -> None:
-            self.interrupts_raised += 1
             self._kernel.interrupts._dispatch(self.vector)
 
         self._kernel.schedule_event(time, fire, label=f"dev:{self.name}")

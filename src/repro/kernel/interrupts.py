@@ -34,8 +34,6 @@ class InterruptController:
         self._kernel = kernel
         self._handlers: Dict[int, Handler] = {}
         self._masked: Dict[int, bool] = {}
-        #: Per-vector delivery counts.
-        self.delivered: Dict[int, int] = {}
         self.dropped_masked = 0
 
     def register(self, vector: int, handler: Handler) -> None:
@@ -88,7 +86,6 @@ class InterruptController:
             return
         handler = self._handlers.get(vector)
         kernel.charge(kernel.model.interrupt_entry_ns, "interrupt")
-        self.delivered[vector] = self.delivered.get(vector, 0) + 1
         kernel.trace.note(kernel.now, "irq", f"vector {vector}")
         if handler is not None:
             handler(kernel, vector)

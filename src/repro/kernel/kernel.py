@@ -105,10 +105,12 @@ class Kernel:
         if fault_policy not in ("kill", "raise"):
             raise ValueError(f"unknown fault policy {fault_policy!r}")
         self.scheduler = scheduler if scheduler is not None else EDFScheduler()
-        # True when the scheduler class keeps the base admit-everything
-        # policy; lets the per-release hot path skip the virtual call.
+        # True when this scheduler instance keeps the base
+        # admit-everything policy; lets the per-release hot path skip
+        # the call.
         self._admits_all = (
-            type(self.scheduler).admit_release is Scheduler.admit_release
+            getattr(self.scheduler.admit_release, "__func__", None)
+            is Scheduler.admit_release
         )
         self.model: OverheadModel = self.scheduler.model
         self.sem_scheme = sem_scheme
@@ -201,23 +203,6 @@ class Kernel:
         """Enqueue a raw engine event (releases, interrupts, timers)."""
         now = self.clock.now
         return self.events.schedule(time if time > now else now, action, label)
-
-    def next_event_time(self) -> Optional[int]:
-        """Earliest instant at which this kernel has work to do.
-
-        Returns the current clock time while a thread is mid-execution
-        (the kernel is busy *now*; its future actions -- transmits,
-        syscalls -- are not in the event queue), the next pending
-        event's time when the node is idle, or ``None`` when it is
-        fully quiescent (no runnable thread, no pending events): such
-        a node cannot act again until outside work -- a delivery, an
-        interrupt -- is scheduled into it.  This is the per-node peek
-        the cluster's adaptive conservative synchronization takes the
-        minimum over.
-        """
-        if self.running is not None or self._need_resched:
-            return self.clock.now
-        return self.events.peek_time()
 
     def request_reschedule(self) -> None:
         """Ask the dispatcher to re-evaluate after the current step."""
@@ -1045,7 +1030,6 @@ class Kernel:
     def _step_running(self, t_end: int) -> None:
         thread = self.running
         assert thread is not None
-        # Inlined thread.current_op(): one call frame per step.
         pc = thread.pc
         if pc >= thread._ops_len:
             self._complete_job(thread)

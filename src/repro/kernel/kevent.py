@@ -28,9 +28,6 @@ class KernelEvent:
         self.name = name
         self.pending = False
         self.waiters: List["Thread"] = []
-        # statistics
-        self.signals = 0
-        self.waits = 0
 
     def wait(self, kernel: "Kernel", thread: "Thread", hint=None) -> bool:
         """Block ``thread`` until signalled.
@@ -40,7 +37,6 @@ class KernelEvent:
         parser-inserted semaphore identifier carried by this blocking
         call (Section 6.2.1).
         """
-        self.waits += 1
         if self.pending:
             self.pending = False
             return True
@@ -51,7 +47,6 @@ class KernelEvent:
 
     def signal(self, kernel: "Kernel") -> int:
         """Wake all waiters (or latch).  Returns the number woken."""
-        self.signals += 1
         if not self.waiters:
             self.pending = True
             return 0

@@ -9,7 +9,6 @@ in-memory, no-virtual-memory target (32-128 KB of RAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.kernel.memory import MemoryMap, Region

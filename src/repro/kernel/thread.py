@@ -17,7 +17,7 @@ membership).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.queues import Schedulable
 from repro.core.task import TaskSpec
@@ -82,9 +82,6 @@ class Thread(Schedulable):
         "blocked_on",
         "pending_hint",
         "held_sems",
-        "registered_on",
-        "parked_on",
-        "inbox",
         "last_received",
         "last_read",
         "obs_dispatches",
@@ -134,8 +131,8 @@ class Thread(Schedulable):
         self.spec = spec
         self.program = program
         # Programs are immutable; cache the op tuple and its length so
-        # current_op() is two attribute reads, not a __len__/__getitem__
-        # protocol round-trip per step.
+        # the kernel's step finds the current op with two attribute
+        # reads, not a __len__/__getitem__ protocol round-trip.
         self._ops = program.ops
         self._ops_len = len(self._ops)
         #: Event label for this thread's periodic releases (built once;
@@ -173,13 +170,6 @@ class Thread(Schedulable):
         self.pending_hint: Optional[str] = None
         #: Semaphores currently held (acquisition order).
         self.held_sems: List[str] = []
-        #: Pre-lock registry queues the thread is on (Section 6.3.1).
-        self.registered_on: Set[str] = set()
-        #: Semaphore this thread is parked on (hint check found the
-        #: semaphore locked, so the unblock was suppressed).
-        self.parked_on: Optional[str] = None
-        #: Messages delivered while blocked in Recv.
-        self.inbox: List[object] = []
         #: Payload of the last completed Recv.
         self.last_received: Optional[object] = None
         #: Value of the last completed StateRead.
@@ -243,13 +233,6 @@ class Thread(Schedulable):
     @property
     def period(self) -> Optional[int]:
         return self.spec.period if self.spec is not None else None
-
-    def current_op(self):
-        """The op at the program counter, or ``None`` past the end."""
-        pc = self.pc
-        if pc >= self._ops_len:
-            return None
-        return self._ops[pc]
 
     def start_job(self, release_time: int) -> None:
         """Reset program state for a new activation."""

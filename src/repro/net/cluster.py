@@ -17,8 +17,8 @@ reference implementation kept for differential testing.
 
 ``sync="adaptive"`` (the default) computes the cluster's **next
 relevant instant** before each window -- the minimum over every
-kernel's :meth:`~repro.kernel.kernel.Kernel.next_event_time` and the
-bus's :meth:`~repro.net.fieldbus.Fieldbus.next_event_time` -- and,
+kernel's next-activity bound (see :meth:`Cluster._run_adaptive`) and
+the bus's :meth:`~repro.net.fieldbus.Fieldbus.next_event_time` -- and,
 when it falls beyond the next window boundary, jumps straight to the
 window containing it.  The skipped windows provably contain no
 activity: an idle kernel cannot act before its next pending event
@@ -134,12 +134,11 @@ class Cluster:
             raise ValueError(
                 f"node {name} joins at local time {kernel.now}, cluster is at {self._now}"
             )
+        log: list = []
         interface = NetInterface(
-            name, kernel, self.bus, accept=accept, vector=vector,
+            name, kernel, self.bus, log, accept=accept, vector=vector,
             rx_capacity=rx_capacity,
         )
-        log: list = []
-        interface._effect_log = log
         self.nodes[name] = kernel
         self.interfaces[name] = interface
         self._ifaces.append(interface)
@@ -258,18 +257,23 @@ class Cluster:
         """The event-driven loop: jump over provably silent windows.
 
         One pass per round computes each kernel's conservative
-        next-activity bound (inlining the :meth:`Kernel.next_event_time`
-        logic: this loop runs once per node per round and the call
-        overhead is measurable).  The raw heap head is used without
-        trimming cancelled entries -- a cancelled head's time is a lower
-        bound on the true next event, so the worst case is processing a
-        window lockstep would also have processed, never skipping an
-        active one.  The same bounds then drive per-node laziness: a
-        kernel with nothing due by the boundary would only idle-jump its
-        clock, and its trace's adjacent-IDLE merging makes deferring
-        that jump invisible, so it is left alone until it has actual
-        work (the final boundary runs everyone, returning all clocks at
-        ``t_end``).
+        next-activity bound, inline because this loop runs once per node
+        per round and a call's overhead is measurable.  The bound is the
+        kernel's clock time while a thread is mid-execution or a
+        reschedule is pending (the kernel is busy *now*; its future
+        actions -- transmits, syscalls -- are not in the event queue),
+        else its next pending event's time, or ``None`` when it is fully
+        quiescent: such a node cannot act again until outside work -- a
+        delivery, an interrupt -- is scheduled into it.  The raw heap
+        head is used without trimming cancelled entries -- a cancelled
+        head's time is a lower bound on the true next event, so the
+        worst case is processing a window lockstep would also have
+        processed, never skipping an active one.  The same bounds then
+        drive per-node laziness: a kernel with nothing due by the
+        boundary would only idle-jump its clock, and its trace's
+        adjacent-IDLE merging makes deferring that jump invisible, so it
+        is left alone until it has actual work (the final boundary runs
+        everyone, returning all clocks at ``t_end``).
         """
         kernels = list(self.nodes.values())
         n = len(kernels)
@@ -460,7 +464,3 @@ class Cluster:
     def close(self) -> None:
         """Release the cluster.  A no-op: a cluster holds no processes,
         pipes or files, only in-process state."""
-
-    def run_for(self, duration: int) -> None:
-        """Advance by ``duration`` ns of global time."""
-        self.run_until(self._now + duration)

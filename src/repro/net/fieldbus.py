@@ -28,7 +28,7 @@ default) every code path is identical to the seed implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -55,19 +55,13 @@ class TransmitRequest:
     time: int
     frame: Frame
     sequence: int
-    #: Retransmission attempts already consumed (0 = first try).
-    attempts: int = 0
     #: The sender's original transmit stamp.  ``time`` moves on
     #: retransmission / bus-off deferral; ``origin`` does not, so
     #: latency accounting can always reach back to the application's
-    #: send instant.  ``-1`` means "same as time" (the default for
-    #: requests built directly).
-    origin: int = -1
-
-    @property
-    def origin_time(self) -> int:
-        """The original send instant (``origin``, or ``time``)."""
-        return self.origin if self.origin >= 0 else self.time
+    #: send instant.
+    origin: int
+    #: Retransmission attempts already consumed (0 = first try).
+    attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,9 +194,25 @@ class Fieldbus:
             self.bus_log = []
         return self
 
-    def _log(self, event: BusEvent) -> None:
-        if self.bus_log is not None:
-            self.bus_log.append(event)
+    def _log(
+        self, kind: str, start: int, end: int, request: TransmitRequest, verdict: str
+    ) -> None:
+        """Append one :class:`BusEvent` for ``request`` if the log is
+        armed; a disarmed log builds nothing."""
+        log = self.bus_log
+        if log is not None:
+            frame = request.frame
+            log.append(BusEvent(
+                kind,
+                start,
+                end,
+                frame.can_id,
+                frame.sender,
+                frame.flow,
+                request.attempts,
+                verdict,
+                request.origin,
+            ))
 
     def error_state(self, node: str) -> CanErrorState:
         """Get or create the error state machine of ``node``.
@@ -308,17 +318,7 @@ class Fieldbus:
                         future,
                         (deferred.time, deferred.sequence, deferred),
                     )
-                    self._log(BusEvent(
-                        "bus-off-defer",
-                        start,
-                        deferred.time,
-                        winner.frame.can_id,
-                        winner.frame.sender,
-                        winner.frame.flow,
-                        winner.attempts,
-                        "deferred",
-                        winner.origin_time,
-                    ))
+                    self._log("bus-off-defer", start, deferred.time, winner, "deferred")
                     continue
             duration = self.frame_time_ns(winner.frame.size)
             completion = start + duration
@@ -332,17 +332,7 @@ class Fieldbus:
                     f"fault_hook returned {verdict!r}; expected one of "
                     f"{VERDICTS}"
                 )
-            self._log(BusEvent(
-                "tx",
-                start,
-                completion,
-                frame.can_id,
-                frame.sender,
-                frame.flow,
-                winner.attempts,
-                verdict,
-                winner.origin_time,
-            ))
+            self._log("tx", start, completion, winner, verdict)
             if verdict == "drop":
                 # The frame occupied the wire but no node hears it.
                 self.frames_dropped += 1
@@ -370,40 +360,25 @@ class Fieldbus:
         sender_state: Optional[CanErrorState],
     ) -> None:
         """Account a failed transmission: error frame, TEC, retry."""
-        frame = request.frame
         if self.error_states is not None:
             # Signalling the error occupies the wire too.
             self.error_frames += 1
             self.bits_carried += ERROR_FRAME_BITS
             self.busy_until = completion + self.error_frame_time_ns
-            self._log(BusEvent(
-                "error-frame",
-                completion,
-                self.busy_until,
-                frame.can_id,
-                frame.sender,
-                frame.flow,
-                request.attempts,
-                "error",
-                request.origin_time,
-            ))
+            self._log("error-frame", completion, self.busy_until, request, "error")
         if sender_state is not None:
             sender_state.on_tx_error(completion)
         if self.max_retransmits <= 0:
             return
         if request.attempts >= self.max_retransmits:
             self.retransmits_exhausted += 1
-            self._log(BusEvent(
+            self._log(
                 "retransmit-exhausted",
                 self.busy_until,
                 self.busy_until,
-                frame.can_id,
-                frame.sender,
-                frame.flow,
-                request.attempts,
+                request,
                 "abandoned",
-                request.origin_time,
-            ))
+            )
             return
         retry = self.busy_until
         if sender_state is not None and sender_state.state == ERROR_PASSIVE:
@@ -420,17 +395,7 @@ class Fieldbus:
             attempts=request.attempts + 1,
         )
         heappush(self._future, (retry, retransmit.sequence, retransmit))
-        self._log(BusEvent(
-            "retransmit",
-            retry,
-            retry,
-            frame.can_id,
-            frame.sender,
-            frame.flow,
-            retransmit.attempts,
-            "retry",
-            request.origin_time,
-        ))
+        self._log("retransmit", retry, retry, retransmit, "retry")
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` the bus spent carrying bits."""

@@ -70,7 +70,6 @@ class ReplicaStatus:
         last_seq: Highest sequence number applied to the replica.
         last_publish_ns: Publish timestamp of that update (writer's
             clock; all nodes share virtual time).
-        last_update_ns: Local time the replica last changed.
         updates: Updates applied (including resyncs).
         gaps: Total updates lost to sequence gaps.
         duplicates: Frames discarded as already-seen (``seq <=
@@ -79,21 +78,19 @@ class ReplicaStatus:
         stale: True while the replica is older than ``freshness_ns``.
         stale_count: Stale episodes entered.
         resyncs: Updates that ended a stale episode.
-        latency_sum_ns / latency_max_ns: Publish-to-apply latency.
+        latency_max_ns: Worst publish-to-apply latency.
         staleness_max_ns: Worst replica age observed at any check.
     """
 
     node: str
     last_seq: int = 0
     last_publish_ns: int = -1
-    last_update_ns: int = -1
     updates: int = 0
     gaps: int = 0
     duplicates: int = 0
     stale: bool = False
     stale_count: int = 0
     resyncs: int = 0
-    latency_sum_ns: int = 0
     latency_max_ns: int = 0
     staleness_max_ns: int = 0
 
@@ -321,9 +318,7 @@ class GlobalStateChannel:
             latency = kern.now - t_pub
             status.last_seq = seq
             status.last_publish_ns = t_pub
-            status.last_update_ns = kern.now
             status.updates += 1
-            status.latency_sum_ns += latency
             if latency > status.latency_max_ns:
                 status.latency_max_ns = latency
             if status.stale:

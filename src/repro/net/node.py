@@ -7,7 +7,8 @@ drivers" (Section 3).  The interface mirrors that split:
 
 * :meth:`NetInterface.transmit` is the device-driver send path a
   thread calls directly (via a ``Call`` op or the
-  :func:`net_send` helper), charged like a device access;
+  :func:`net_send` helper), charged like a device access; the frame
+  is staged on the cluster's effect log for its barrier merge;
 * received frames raise the node's network interrupt; a first-level
   handler queues the frame and signals the per-node rx event, on
   which a *user-level driver thread* waits (the Figure 1 pattern).
@@ -23,7 +24,6 @@ from repro.net.frame import Frame
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
-    from repro.kernel.thread import Thread
     from repro.net.fieldbus import Fieldbus
 
 __all__ = ["NetInterface", "net_send"]
@@ -41,8 +41,12 @@ DEFAULT_RX_CAPACITY = 64
 
 
 class NetInterface:
-    """A node's attachment to the fieldbus.
+    """A node's attachment to the fieldbus, built by
+    :meth:`~repro.net.cluster.Cluster.add_node`.
 
+    ``effect_log`` is the node's cluster effect log: cross-kernel side
+    effects are staged there and applied at the window barrier in
+    deterministic merge order instead of touching the bus inline.
     ``rx_capacity`` bounds the total frames buffered between the
     controller (``_incoming``) and the driver queue (``rx_queue``);
     further deliveries are dropped and counted in ``rx_overflowed``.
@@ -54,6 +58,7 @@ class NetInterface:
         name: str,
         kernel: "Kernel",
         bus: "Fieldbus",
+        effect_log: list,
         accept: Optional[Iterable[int]] = None,
         vector: int = NET_VECTOR,
         rx_capacity: Optional[int] = DEFAULT_RX_CAPACITY,
@@ -73,12 +78,7 @@ class NetInterface:
         kernel.create_event(self.rx_event_name)
         kernel.interrupts.register(vector, self._isr)
         self._incoming: Deque[Frame] = deque()
-        # Cluster effect log (set by ``Cluster.add_node``): when
-        # present, cross-kernel side effects are staged there and
-        # applied at the window barrier in deterministic merge order
-        # instead of touching the bus inline.  ``None`` for standalone
-        # interfaces driven directly against a bus.
-        self._effect_log = None
+        self._effect_log = effect_log
         #: Opt-in receive log (``None`` = disabled): one
         #: ``(time, flow, can_id, sender)`` tuple per *accepted*
         #: delivery, i.e. frames that passed CRC, acceptance filter and
@@ -108,14 +108,10 @@ class NetInterface:
             sender=self.name,
         )
         self.kernel.charge(TX_ACCESS_NS, "net")
-        if self._effect_log is not None:
-            # Cluster-attached: stage for the barrier merge (the bus's
-            # arbitration sequence numbers are assigned there, in
-            # global (time, node, seq) order -- identical in every sync
-            # mode).
-            self._effect_log.append(("tx", self.kernel.now, stamped))
-        else:
-            self.bus.queue(self.kernel.now, stamped)
+        # Staged for the barrier merge: the bus's arbitration sequence
+        # numbers are assigned there, in global (time, node, seq) order
+        # -- identical in every sync mode.
+        self._effect_log.append(("tx", self.kernel.now, stamped))
         self.frames_sent += 1
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ The harness measures two things about every code change:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.allocation import balanced_splits
 from repro.core.overhead import OverheadModel

@@ -9,6 +9,7 @@ real schedule rather than re-drawn.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 from repro.core.csd import CSDScheduler
@@ -96,14 +97,7 @@ def build_kernel(
 
 def hyperperiod(workload: Workload, cap: int = 10_000_000_000) -> int:
     """LCM of the task periods, capped (ns)."""
-    import math
-
-    value = 1
-    for task in workload:
-        value = value * task.period // math.gcd(value, task.period)
-        if value > cap:
-            return cap
-    return value
+    return min(math.lcm(*(task.period for task in workload)), cap)
 
 
 def simulate_workload(

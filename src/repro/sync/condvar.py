@@ -31,14 +31,9 @@ class ConditionVariable:
         self.name = name
         #: Blocked waiters together with the mutex each must re-acquire.
         self.waiters: List[tuple] = []
-        # statistics
-        self.waits = 0
-        self.signals = 0
-        self.broadcasts = 0
 
     def wait(self, kernel: "Kernel", thread: "Thread", mutex_name: str) -> None:
         """Release ``mutex_name`` and block until signalled."""
-        self.waits += 1
         mutex = kernel.semaphores.get(mutex_name)
         if mutex is None:
             raise CondVarError(f"cv {self.name}: unknown mutex {mutex_name}")
@@ -53,7 +48,6 @@ class ConditionVariable:
 
     def signal(self, kernel: "Kernel", thread: "Thread") -> None:
         """Wake the highest-priority waiter."""
-        self.signals += 1
         if not self.waiters:
             return
         best = min(self.waiters, key=lambda w: kernel.priority_rank(w[0]))
@@ -62,7 +56,6 @@ class ConditionVariable:
 
     def broadcast(self, kernel: "Kernel", thread: "Thread") -> None:
         """Wake every waiter (in priority order)."""
-        self.broadcasts += 1
         waiting = sorted(self.waiters, key=lambda w: kernel.priority_rank(w[0]))
         self.waiters.clear()
         for waiter, mutex_name in waiting:

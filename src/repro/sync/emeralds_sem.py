@@ -103,7 +103,6 @@ class EmeraldsSemaphore(StandardSemaphore):
             # standard scheme would do it (safe: Section 6.2.3).
             self._do_inheritance(kernel, thread)
             self.parked.append(thread)
-            thread.parked_on = self.name
             self.parks += 1
             obs = kernel.obs
             if obs is not None:
@@ -111,7 +110,6 @@ class EmeraldsSemaphore(StandardSemaphore):
             return True
         if self.registry_enabled:
             self.registry.append(thread)
-            thread.registered_on.add(self.name)
         return False
 
     # ------------------------------------------------------------------
@@ -158,7 +156,6 @@ class EmeraldsSemaphore(StandardSemaphore):
         # the registry members frozen by the lock.
         for parked in list(self.parked):
             self.parked.remove(parked)
-            parked.parked_on = None
             kernel.unblock_thread(parked)
         self._registry_thaw(kernel)
 
@@ -238,7 +235,6 @@ class EmeraldsSemaphore(StandardSemaphore):
     def _registry_discard(self, thread: "Thread") -> None:
         if thread in self.registry:
             self.registry.remove(thread)
-            thread.registered_on.discard(self.name)
 
     def _registry_freeze(self, kernel: "Kernel", locker: "Thread") -> None:
         for member in list(self.registry):

@@ -8,7 +8,6 @@ from repro.core.cyclic import (
     CyclicScheduleError,
     TABLE_ENTRY_BYTES,
     _frame_candidates,
-    _hyperperiod,
     build_cyclic_schedule,
 )
 from repro.core.task import TaskSpec, Workload, table2_workload
@@ -83,7 +82,7 @@ class TestFrameCandidates:
         w = Workload(
             TaskSpec(name=f"t{i}", period=p, wcet=1) for i, p in enumerate(periods)
         )
-        hyperperiod = _hyperperiod(w)
+        hyperperiod = math.lcm(*periods)
         brute = [
             f
             for f in range(min(periods), 0, -1)

@@ -477,6 +477,27 @@ class TestCsdShedding:
         assert not notes_of(trace, "release-shed")
         assert k.scheduler.shed_counts == {}
 
+    @pytest.mark.parametrize("shed, calls", [(False, 0), (True, 10)])
+    def test_kernel_asks_only_a_shedding_scheduler(self, shed, calls):
+        """The kernel decides once, at construction, whether this
+        scheduler instance can refuse a release: a CSD scheduler built
+        without shedding is never asked."""
+        k = zero_kernel(
+            CSDScheduler(ZERO_OVERHEAD, dp_queue_count=1, shed_overload=shed)
+        )
+        k.create_thread("t", Program([Compute(ms(1))]), period=ms(10), csd_queue=0)
+        admit = k.scheduler.admit_release
+        asked = []
+
+        def counting(task, now):
+            asked.append(now)
+            return admit(task, now)
+
+        k.scheduler.admit_release = counting
+        trace = k.run_until(ms(95))
+        assert len(trace.jobs_of("t")) == 10
+        assert len(asked) == calls
+
 
 class TestDeterminismUnderFaults:
     KW = dict(wcet_overrun_rate=20.0, crash_rate=5.0, clock_jitter_rate=10.0)

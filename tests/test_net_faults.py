@@ -3,6 +3,8 @@ bounded retransmission, heap arbitration equivalence, rx bounds,
 replica freshness, heartbeat membership, and the network chaos
 harness."""
 
+import collections
+import hashlib
 import random
 
 import pytest
@@ -297,6 +299,28 @@ class TestRetransmission:
         assert len(deliveries) == 1
         assert deliveries[0].time == 2 * bus.frame_time_ns(0)
         assert bus.error_frames == 0 and bus.frames_retransmitted == 0
+
+    def test_activity_log_pins_every_event_kind(self):
+        """Every field of every ``BusEvent`` kind: each of ``a``'s frames
+        fails, is retried twice and abandoned, and the errors drive ``a``
+        bus-off, deferring its traffic; ``b``'s frame goes through."""
+        bus = Fieldbus().enable_dependability(max_retransmits=2).enable_trace()
+        bus.fault_hook = lambda start, frame: "drop" if frame.sender == "a" else "ok"
+        for i in range(12):
+            bus.queue(i * 1000, Frame(can_id=0x10, size=1, sender="a"))
+        bus.queue(500, Frame(can_id=0x20, size=2, sender="b"))
+        bus.process(10**9)
+        kinds = collections.Counter(event.kind for event in bus.bus_log)
+        assert kinds == {
+            "tx": 37,
+            "error-frame": 36,
+            "retransmit": 24,
+            "retransmit-exhausted": 12,
+            "bus-off-defer": 4,
+        }
+        assert hashlib.sha256(repr(bus.bus_log).encode()).hexdigest() == (
+            "ed7eef417c4ca72be4bb9e295af5b992a164de2284e23b25a0df4a3b6a286f81"
+        )
 
 
 # ----------------------------------------------------------------------

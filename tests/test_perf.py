@@ -9,7 +9,10 @@ regressions against the committed baseline.
 """
 
 import argparse
+import ast
+import collections
 import json
+import pathlib
 import types
 
 import pytest
@@ -315,6 +318,72 @@ def test_kernel_reads_no_thread_state_through_its_class():
         if "ThreadState" in code.co_names
     )
     assert offenders == []
+
+
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _syntax_trees(*dirs):
+    for directory in dirs:
+        for path in sorted((_REPO / directory).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _slot_strings(tree):
+    """Ids of the string constants inside ``__slots__`` assignments:
+    declaring a slot is not reading it."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            ids.update(id(const) for const in ast.walk(node.value))
+    return ids
+
+
+def test_every_updated_counter_has_a_reader():
+    """A count that ``src/`` bumps with ``+=`` or ``-=`` and nothing
+    reads is state a small-memory kernel carries, and a hot path pays
+    for, on nobody's behalf.  Every such attribute must be read
+    somewhere in the repository: an attribute load, or a string naming
+    it (a ``getattr``); the strings of a ``__slots__`` declaration do
+    not count."""
+    updated = collections.defaultdict(list)
+    for path, tree in _syntax_trees("src"):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.target, ast.Attribute)
+            ):
+                where = f"{path.relative_to(_REPO)}:{node.lineno}"
+                updated[node.target.attr].append(where)
+    # The walk sees the updates where they are.
+    assert any(
+        where.startswith("src/repro/core/queues.py")
+        for places in updated.values()
+        for where in places
+    )
+    read = set()
+    for _, tree in _syntax_trees("src", "tests", "benchmarks", "examples", "simbench"):
+        declared = _slot_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in declared
+            ):
+                read.add(node.value)
+    unread = sorted(
+        f"{name} ({places[0]})" for name, places in updated.items() if name not in read
+    )
+    assert unread == []
 
 
 # ----------------------------------------------------------------------
