@@ -32,7 +32,6 @@ from repro.obs.cluster_trace import (
 )
 from repro.obs.collector import (
     OBS_MODES,
-    BlockingInterval,
     ObsCollector,
     PiEvent,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "DEFAULT_RESPONSE_BUCKETS_NS",
     "ObsCollector",
     "PiEvent",
-    "BlockingInterval",
     "OBS_MODES",
     "chrome_trace_events",
     "node_trace_events",

@@ -52,7 +52,7 @@ from repro.obs.metrics import DEFAULT_RESPONSE_BUCKETS_NS, MetricsRegistry
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
 
-__all__ = ["ObsCollector", "PiEvent", "BlockingInterval", "OBS_MODES"]
+__all__ = ["ObsCollector", "PiEvent", "OBS_MODES"]
 
 #: Valid collector modes, least to most detailed.
 OBS_MODES = ("counters", "full")
@@ -79,16 +79,6 @@ class PiEvent(NamedTuple):
     transitive: bool
 
 
-class BlockingInterval(NamedTuple):
-    """One closed semaphore-induced blocking episode (full mode)."""
-
-    sem: str
-    thread: str
-    start: int
-    end: int
-    reason: str
-
-
 class _SemStats:
     __slots__ = ("blocks", "blocked_ns", "max_waiters", "donations")
 
@@ -104,8 +94,8 @@ class ObsCollector:
 
     Args:
         mode: ``"counters"`` (scalar adds only; the <10%-overhead
-            mode) or ``"full"`` (also histograms, blocking intervals,
-            and PI events for the analyzers).
+            mode) or ``"full"`` (also histograms and PI events for the
+            analyzers).
         response_buckets: Histogram bucket bounds (ns) for per-task
             response times (full mode).
     """
@@ -113,7 +103,7 @@ class ObsCollector:
     __slots__ = (
         "mode", "full", "response_buckets", "kernel", "sems",
         "_block_since", "switches_at_attach", "queue_depth_max",
-        "queue_depth_sum", "pi_events", "blocking_intervals",
+        "queue_depth_sum", "pi_events",
     )
 
     def __init__(
@@ -130,8 +120,8 @@ class ObsCollector:
         self.response_buckets = tuple(response_buckets)
         self.kernel: Optional["Kernel"] = None
         self.sems: Dict[str, _SemStats] = {}
-        #: Open blocking episodes: thread -> (sem, start, reason).
-        self._block_since: Dict[str, Tuple[str, int, str]] = {}
+        #: Open blocking episodes: thread -> (sem, start).
+        self._block_since: Dict[str, Tuple[str, int]] = {}
         #: The trace's context-switch count when :meth:`attach` ran.
         self.switches_at_attach = 0
         #: Per-switch counters, updated inline by the kernel's
@@ -144,7 +134,6 @@ class ObsCollector:
         self.queue_depth_sum = 0
         # full-mode event records
         self.pi_events: List[PiEvent] = []
-        self.blocking_intervals: List[BlockingInterval] = []
 
     def attach(self, kernel: "Kernel") -> "ObsCollector":
         """Install this collector on ``kernel`` and return it."""
@@ -173,7 +162,7 @@ class ObsCollector:
             if reason.startswith(prefix):
                 sem = reason[len(prefix):]
                 self._sem(sem).blocks += 1
-                self._block_since[thread] = (sem, now, prefix[:-1])
+                self._block_since[thread] = (sem, now)
                 return
 
     def on_unblock(self, thread: str, now: int) -> None:
@@ -181,12 +170,8 @@ class ObsCollector:
         open_block = self._block_since.pop(thread, None)
         if open_block is None:
             return
-        sem, start, reason = open_block
+        sem, start = open_block
         self._sem(sem).blocked_ns += now - start
-        if self.full:
-            self.blocking_intervals.append(
-                BlockingInterval(sem, thread, start, now, reason)
-            )
 
     def on_sem_wait(self, sem: str, depth: int) -> None:
         """The waiter/parked population of a semaphore grew to ``depth``."""

@@ -10,7 +10,7 @@ flow *through* a middle thread to reach a low-priority holder:
   first donation, ``b -> c`` through ``M``;
 * ``a`` (highest) blocks on ``S`` (held by ``b``) -- second donation
   ``a -> b`` through ``S``, and, because ``b`` is itself blocked on
-  ``M``, a *transitive* hop ``a -> c`` under the standard scheme.
+  ``M``, a *transitive* hop ``a -> c``, under either semaphore scheme.
 
 Everything is phase/period driven with no randomness, so two runs (on
 any machine, in any worker process) observe byte-identical metrics --

@@ -68,12 +68,9 @@ class ConditionVariable:
             mutex._grant(waiter)
             kernel.unblock_thread(waiter)
         else:
-            # Stay blocked, but now on the mutex, with PI to its holder.
-            if mutex.holder is not None and kernel.priority_rank(
-                waiter
-            ) < kernel.priority_rank(mutex.holder):
-                cost = kernel.scheduler.raise_priority(mutex.holder, waiter)
-                kernel.charge(cost, "pi")
+            # Stay blocked, but now on the mutex, donating down its
+            # holder chain like any other waiter.
+            mutex._inherit_chain(kernel, waiter)
             waiter.blocked_on = f"sem:{mutex_name}"
             mutex.waiters.append(waiter)
 

@@ -21,6 +21,15 @@ swap.  If a second, higher-priority donor T3 arrives, T3 becomes the
 place-holder and T2 is swapped back to its own position (one extra
 O(1) step, end of Section 6.2).
 
+The transitive walk of :mod:`repro.sync.semaphore` applies under this
+scheme too; the swap is one of its hops, made only where Section 6.2
+applies: a donor that holds no lock, waiting directly on a holder that
+waits for none.  Such a donor stays blocked, and lock-free, until the
+reverse swap, so no thread is ever both a place-holder and a holder.
+Every other hop raises as the standard scheme does.  A release whose
+place-holder has left the queue (it was killed) re-derives the
+holder's priority instead of swapping back.
+
 **The pre-lock registry queue (Section 6.3.1).**  If the semaphore is
 *free* when T2's wake-up event fires, T2 is unblocked normally but
 recorded in a registry of threads that have completed their
@@ -32,9 +41,9 @@ released again when the semaphore is unlocked.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.sync.semaphore import StandardSemaphore, recompute_inheritance
+from repro.sync.semaphore import StandardSemaphore, pi_step, recompute_inheritance
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -49,8 +58,6 @@ class EmeraldsSemaphore(StandardSemaphore):
     ``use_swap_pi`` and ``use_hint_parking`` allow the two
     optimizations to be ablated independently (both default on).
     """
-
-    scheme = "emeralds"
 
     def __init__(
         self,
@@ -101,12 +108,12 @@ class EmeraldsSemaphore(StandardSemaphore):
         if self.locked:
             # Priority inheritance happens here, earlier than the
             # standard scheme would do it (safe: Section 6.2.3).
-            self._do_inheritance(kernel, thread)
+            self._inherit_chain(kernel, thread)
             self.parked.append(thread)
             self.parks += 1
             obs = kernel.obs
             if obs is not None:
-                obs.on_sem_wait(self.name, len(self.waiters) + len(self.parked))
+                obs.on_sem_wait(self.name, len(self.donor_threads()))
             return True
         if self.registry_enabled:
             self.registry.append(thread)
@@ -125,32 +132,13 @@ class EmeraldsSemaphore(StandardSemaphore):
             # wasted wake-up (Figure 9) cannot happen.
             self._registry_freeze(kernel, thread)
             return True
-        self.contended_acquires += 1
-        self._do_inheritance(kernel, thread)
-        self.waiters.append(thread)
-        obs = kernel.obs
-        if obs is not None:
-            obs.on_sem_wait(self.name, len(self.waiters) + len(self.parked))
-        kernel.block_thread(thread, f"sem:{self.name}")
+        self._wait(kernel, thread)
         return False
 
     def release(self, kernel: "Kernel", thread: "Thread") -> None:
-        from repro.sync.semaphore import SemaphoreError
-
-        self.releases += 1
         contended = bool(self.waiters or self.parked or self.registry)
         kernel.charge(self._path_cost(kernel, contended), "sem")
-        if self.capacity == 1 and self.holder is not thread:
-            raise SemaphoreError(
-                f"{thread.name} released {self.name} held by "
-                f"{self.holder.name if self.holder else 'nobody'}"
-            )
-        if self.name in thread.held_sems:
-            thread.held_sems.remove(self.name)
-        self.holder = None
-        self.available += 1
-        self._undo_inheritance(kernel, thread)
-        self._hand_off(kernel)
+        self._unlock(kernel, thread)
         # Wake the parked threads (they resume after their original
         # blocking call and will reach acquire_sem on their own) and
         # the registry members frozen by the lock.
@@ -171,62 +159,32 @@ class EmeraldsSemaphore(StandardSemaphore):
     # ------------------------------------------------------------------
     # priority inheritance, O(1) flavour
     # ------------------------------------------------------------------
-    def _do_inheritance(self, kernel: "Kernel", donor: "Thread") -> None:
-        holder = self.holder
-        if holder is None or self.capacity != 1:
-            return
-        if kernel.priority_rank(donor) >= kernel.priority_rank(holder):
-            return
-        if self.use_swap_pi:
-            if holder.pi_donor_of is not None:
-                # A previous donor is acting as place-holder; put it
-                # back first (the "T3 becomes T1's place-holder" case).
-                previous = kernel.threads[holder.pi_donor_of]
-                cost = kernel.scheduler.swap_with_placeholder(holder, previous)
-                if cost is not None:
-                    kernel.charge(cost, "pi")
-                    previous.pi_donor_of = None
-                    holder.pi_donor_of = None
-            cost = kernel.scheduler.swap_with_placeholder(holder, donor)
-            if cost is not None:
-                kernel.charge(cost, "pi")
+    def _donate(
+        self, kernel: "Kernel", donor: "Thread", holder: "Thread", only_hop: bool
+    ) -> Tuple[int, str]:
+        scheduler = kernel.scheduler
+        cost = 0
+        if holder.pi_donor_of is not None:
+            # A previous donor is acting as place-holder; put it back
+            # first (the "T3 becomes T1's place-holder" case).
+            cost = _put_back(kernel, holder) or 0
+        if self.use_swap_pi and only_hop and not donor.held_sems:
+            swap = scheduler.swap_with_placeholder(holder, donor)
+            if swap is not None:
                 holder.pi_donor_of = donor.name
-                obs = kernel.obs
-                if obs is not None:
-                    obs.on_pi_donation(
-                        kernel.now, self.name, donor.name, holder.name,
-                        "swap", False,
-                    )
-                return
-        # DP-queue tasks, cross-queue donations, or swap disabled:
-        # fall back to the standard raise (O(1) for DP tasks anyway).
-        cost = kernel.scheduler.raise_priority(holder, donor)
-        kernel.charge(cost, "pi")
-        obs = kernel.obs
-        if obs is not None:
-            obs.on_pi_donation(
-                kernel.now, self.name, donor.name, holder.name, "raise", False
-            )
+                return cost + swap, "swap"
+        # DP-queue tasks, cross-queue donations, nested or transitive
+        # hops, or swap disabled: the standard raise (O(1) for DP tasks).
+        return cost + scheduler.raise_priority(holder, donor), "raise"
 
-    def _undo_inheritance(self, kernel: "Kernel", thread: "Thread") -> None:
+    def _disinherit(self, kernel: "Kernel", thread: "Thread") -> None:
         if thread.pi_donor_of is not None:
-            placeholder = kernel.threads[thread.pi_donor_of]
-            cost = kernel.scheduler.swap_with_placeholder(thread, placeholder)
+            cost = _put_back(kernel, thread)
             if cost is not None:
-                kernel.charge(cost, "pi")
-            thread.pi_donor_of = None
-            placeholder.pi_donor_of = None
-            obs = kernel.obs
-            if obs is not None:
-                obs.on_pi_restore(kernel.now, thread.name)
-            # The thread may still hold other contended semaphores.
-            if any(
-                kernel.semaphores[s].donor_threads()
-                for s in thread.held_sems
-                if s in kernel.semaphores
-            ):
-                recompute_inheritance(kernel, thread)
-            return
+                pi_step(kernel, cost, thread)
+        # Re-derive what the swap could not undo: a killed place-holder,
+        # a raise from before the swap, or donors still waiting on other
+        # semaphores the thread holds.
         recompute_inheritance(kernel, thread)
 
     # ------------------------------------------------------------------
@@ -248,3 +206,11 @@ class EmeraldsSemaphore(StandardSemaphore):
         for member in list(self.registry):
             if member.blocked_on == f"sem-registry:{self.name}":
                 kernel.unblock_thread(member)
+
+
+def _put_back(kernel: "Kernel", holder: "Thread") -> Optional[int]:
+    """Reverse ``holder``'s place-holder swap; returns its cost, or
+    ``None`` when the place-holder has left the queue (it was killed)."""
+    placeholder = kernel.threads[holder.pi_donor_of]
+    holder.pi_donor_of = None
+    return kernel.scheduler.swap_with_placeholder(holder, placeholder)

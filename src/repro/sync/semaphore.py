@@ -13,8 +13,15 @@ Priority inheritance uses the standard queue manipulation: the holder
 is removed from its fixed-priority queue and reinserted at the donor's
 priority (O(n) per step), or -- for dynamic-priority tasks -- its
 deadline field is overwritten (O(1), the EDF queue is unsorted).
-Inheritance is transitive: if the holder is itself blocked on another
-semaphore, the donation is propagated down the chain.
+Inheritance is transitive: if the holder is itself waiting for another
+semaphore (in its queue, or parked on it by the EMERALDS hint check),
+the donation is propagated down the chain.
+
+This walk is the one donation path of both schemes and of condition
+variables.  Each hop calls its semaphore's ``_donate`` (this scheme
+raises; the EMERALDS scheme swaps where Section 6.2 applies), a release
+undoes inheritance through ``_disinherit``, and :func:`pi_step` charges
+and reports every step.
 
 The contended acquire/release pair costs *two* context switches
 (Figure 7): one into the holder when the caller blocks, one back when
@@ -30,13 +37,13 @@ disabled (no single holder exists to inherit).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
     from repro.kernel.thread import Thread
 
-__all__ = ["StandardSemaphore", "SemaphoreError", "recompute_inheritance"]
+__all__ = ["StandardSemaphore", "SemaphoreError", "pi_step", "recompute_inheritance"]
 
 #: Maximum priority-inheritance chain length walked on a block.
 _MAX_PI_CHAIN = 32
@@ -46,6 +53,27 @@ class SemaphoreError(Exception):
     """Semantic misuse: releasing an unheld semaphore, etc."""
 
 
+def pi_step(
+    kernel: "Kernel", cost: int, holder: "Thread", donor: Optional["Thread"] = None,
+    sem: str = "", kind: str = "raise", transitive: bool = False,
+) -> None:
+    """Charge one priority-inheritance step and report it.
+
+    With a ``donor`` (waiting for ``sem``) the step gave ``holder`` the
+    donor's priority by a ``"raise"`` or a ``"swap"``; without one it
+    restored ``holder``'s own priority.
+    """
+    kernel.charge(cost, "pi")
+    obs = kernel.obs
+    if obs is not None:
+        if donor is None:
+            obs.on_pi_restore(kernel.now, holder.name)
+        else:
+            obs.on_pi_donation(
+                kernel.now, sem, donor.name, holder.name, kind, transitive
+            )
+
+
 def recompute_inheritance(kernel: "Kernel", thread: "Thread") -> None:
     """Re-derive ``thread``'s inherited priority from current donors.
 
@@ -53,49 +81,25 @@ def recompute_inheritance(kernel: "Kernel", thread: "Thread") -> None:
     Called after a release or whenever the donor set changes; restores
     the base priority when no donors remain.
     """
-    donors: List["Thread"] = []
+    rank = kernel.priority_rank
+    best: Optional["Thread"] = None
+    best_sem = ""
     for sem_name in thread.held_sems:
-        sem = kernel.semaphores.get(sem_name)
-        if sem is not None:
-            donors.extend(sem.donor_threads())
-    inherited = (
-        thread.effective_key != thread.base_key or thread.pi_deadline is not None
-    )
+        for donor in kernel.semaphores[sem_name].donor_threads():
+            if best is None or rank(donor) < rank(best):
+                best, best_sem = donor, sem_name
+    scheduler = kernel.scheduler
     # Restore first: the comparison below must be against the thread's
     # *base* priority, not a previously inherited one (otherwise a
     # donation equal to the current inherited level is dropped).
-    if inherited:
-        cost = kernel.scheduler.restore_priority(thread)
-        kernel.charge(cost, "pi")
-        obs = kernel.obs
-        if obs is not None:
-            obs.on_pi_restore(kernel.now, thread.name)
-    if donors:
-        best = min(donors, key=kernel.priority_rank)
-        if kernel.priority_rank(best) < kernel.priority_rank(thread):
-            cost = kernel.scheduler.raise_priority(thread, best)
-            kernel.charge(cost, "pi")
-            obs = kernel.obs
-            if obs is not None:
-                sem_name = next(
-                    (
-                        s
-                        for s in thread.held_sems
-                        if s in kernel.semaphores
-                        and best in kernel.semaphores[s].donor_threads()
-                    ),
-                    "?",
-                )
-                obs.on_pi_donation(
-                    kernel.now, sem_name, best.name, thread.name, "raise", False
-                )
+    if thread.effective_key != thread.base_key or thread.pi_deadline is not None:
+        pi_step(kernel, scheduler.restore_priority(thread), thread)
+    if best is not None and rank(best) < rank(thread):
+        pi_step(kernel, scheduler.raise_priority(thread, best), thread, best, best_sem)
 
 
 class StandardSemaphore:
     """Binary/counting semaphore, standard implementation."""
-
-    #: Scheme tag used in traces and stats.
-    scheme = "standard"
 
     def __init__(self, name: str, capacity: int = 1):
         if capacity < 1:
@@ -138,19 +142,37 @@ class StandardSemaphore:
         if self.available > 0:
             self._grant(thread)
             return True
+        self._wait(kernel, thread)
+        return False
+
+    def release(self, kernel: "Kernel", thread: "Thread") -> None:
+        """Unlock; transfers ownership to the best waiter, if any."""
+        kernel.charge(kernel.model.sem_fixed_standard_ns // 2, "sem")
+        self._unlock(kernel, thread)
+
+    # ------------------------------------------------------------------
+    # the paths both schemes share
+    # ------------------------------------------------------------------
+    def _grant(self, thread: "Thread") -> None:
+        self.available -= 1
+        if self.capacity == 1:
+            self.holder = thread
+        thread.held_sems.append(self.name)
+
+    def _wait(self, kernel: "Kernel", thread: "Thread") -> None:
+        """Contended acquire: donate down the holder chain, then queue
+        and block until the lock is handed over."""
         self.contended_acquires += 1
         self._inherit_chain(kernel, thread)
         self.waiters.append(thread)
         obs = kernel.obs
         if obs is not None:
-            obs.on_sem_wait(self.name, len(self.waiters))
+            obs.on_sem_wait(self.name, len(self.donor_threads()))
         kernel.block_thread(thread, f"sem:{self.name}")
-        return False
 
-    def release(self, kernel: "Kernel", thread: "Thread") -> None:
-        """Unlock; transfers ownership to the best waiter, if any."""
+    def _unlock(self, kernel: "Kernel", thread: "Thread") -> None:
+        """Release body: undo inheritance, hand the lock over."""
         self.releases += 1
-        kernel.charge(kernel.model.sem_fixed_standard_ns // 2, "sem")
         if self.capacity == 1 and self.holder is not thread:
             raise SemaphoreError(
                 f"{thread.name} released {self.name} held by "
@@ -160,18 +182,8 @@ class StandardSemaphore:
             thread.held_sems.remove(self.name)
         self.holder = None
         self.available += 1
-        # Undo (or re-derive) the releaser's inherited priority.
-        recompute_inheritance(kernel, thread)
+        self._disinherit(kernel, thread)
         self._hand_off(kernel)
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _grant(self, thread: "Thread") -> None:
-        self.available -= 1
-        if self.capacity == 1:
-            self.holder = thread
-        thread.held_sems.append(self.name)
 
     def _hand_off(self, kernel: "Kernel") -> None:
         """Grant the lock to the highest-priority waiter and wake it."""
@@ -182,36 +194,51 @@ class StandardSemaphore:
         self._grant(best)
         kernel.unblock_thread(best)
 
+    # ------------------------------------------------------------------
+    # priority inheritance
+    # ------------------------------------------------------------------
     def _inherit_chain(self, kernel: "Kernel", donor: "Thread") -> None:
-        """Propagate ``donor``'s priority down the holder chain."""
+        """Propagate ``donor``'s priority down the holder chain.
+
+        ``donor`` waits for this semaphore (or is about to).  Every hop
+        whose holder ranks below the donor is a donation through the
+        hop's semaphore, made by its ``_donate``; the walk goes on while
+        the holder itself waits for a semaphore, in its queue or parked
+        on it by the hint check.
+        """
         if self.capacity != 1:
             return  # counting semaphores have no single holder
-        current: Optional[StandardSemaphore] = self
+        rank = kernel.priority_rank
+        sem = self
         for _ in range(_MAX_PI_CHAIN):
-            holder = current.holder if current is not None else None
+            holder = sem.holder
             if holder is None:
                 return
-            if kernel.priority_rank(donor) < kernel.priority_rank(holder):
-                cost = kernel.scheduler.raise_priority(holder, donor)
-                kernel.charge(cost, "pi")
-                obs = kernel.obs
-                if obs is not None:
-                    obs.on_pi_donation(
-                        kernel.now,
-                        current.name,
-                        donor.name,
-                        holder.name,
-                        "raise",
-                        current is not self,
-                    )
-            # Transitive step: is the holder itself blocked on a sem?
-            blocked = holder.blocked_on
-            if blocked is None or not blocked.startswith("sem:"):
+            reason = holder.blocked_on
+            awaited = None
+            if reason is not None and reason.startswith(("sem:", "sem-parked:")):
+                awaited = kernel.semaphores.get(reason.split(":", 1)[1])
+            if rank(donor) < rank(holder):
+                direct = sem is self
+                cost, kind = sem._donate(
+                    kernel, donor, holder, direct and awaited is None
+                )
+                pi_step(kernel, cost, holder, donor, sem.name, kind, not direct)
+            if awaited is None or awaited is sem:
                 return
-            next_sem = kernel.semaphores.get(blocked.split(":", 1)[1])
-            if next_sem is None or next_sem is current:
-                return
-            current = next_sem
+            sem = awaited
+
+    def _donate(
+        self, kernel: "Kernel", donor: "Thread", holder: "Thread", only_hop: bool
+    ) -> Tuple[int, str]:
+        """Give ``holder`` the ``donor``'s priority; returns the cost and
+        the step's kind.  ``only_hop`` is true when the walk ends here:
+        the donor waits for this semaphore and the holder for none."""
+        return kernel.scheduler.raise_priority(holder, donor), "raise"
+
+    def _disinherit(self, kernel: "Kernel", thread: "Thread") -> None:
+        """Undo ``thread``'s inheritance after it released this semaphore."""
+        recompute_inheritance(kernel, thread)
 
     def __repr__(self) -> str:
         state = f"held by {self.holder.name}" if self.holder else "free"

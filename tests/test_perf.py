@@ -345,6 +345,44 @@ def _slot_strings(tree):
     return ids
 
 
+#: Methods that only grow a collection: calling one is not a read.
+_GROWERS = frozenset({"append", "extend", "appendleft", "add"})
+
+
+def _grow_receivers(tree):
+    """The ``obj.attr`` loads that only receive a growing call, as in
+    ``obj.attr.append(x)``."""
+    return [
+        node.func.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _GROWERS
+        and isinstance(node.func.value, ast.Attribute)
+    ]
+
+
+def _attributes_read():
+    """Attribute names read anywhere in the repository: an attribute
+    load that does more than receive a growing call, or a string naming
+    the attribute (a ``getattr``) outside a ``__slots__`` declaration."""
+    read = set()
+    for _, tree in _syntax_trees("src", "tests", "benchmarks", "examples", "simbench"):
+        declared = _slot_strings(tree)
+        grows = {id(node) for node in _grow_receivers(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in grows:
+                    read.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in declared
+            ):
+                read.add(node.value)
+    return read
+
+
 def test_every_updated_counter_has_a_reader():
     """A count that ``src/`` bumps with ``+=`` or ``-=`` and nothing
     reads is state a small-memory kernel carries, and a hot path pays
@@ -368,20 +406,29 @@ def test_every_updated_counter_has_a_reader():
         for places in updated.values()
         for where in places
     )
-    read = set()
-    for _, tree in _syntax_trees("src", "tests", "benchmarks", "examples", "simbench"):
-        declared = _slot_strings(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and id(node) not in declared
-            ):
-                read.add(node.value)
+    read = _attributes_read()
     unread = sorted(
         f"{name} ({places[0]})" for name, places in updated.items() if name not in read
+    )
+    assert unread == []
+
+
+def test_every_grown_list_has_a_reader():
+    """The same rule for records that ``src/`` only grows: an attribute
+    that appears only as the receiver of ``.append``, ``.extend``,
+    ``.appendleft`` or ``.add`` is a log nobody reads."""
+    grown = collections.defaultdict(list)
+    for path, tree in _syntax_trees("src"):
+        for node in _grow_receivers(tree):
+            grown[node.attr].append(f"{path.relative_to(_REPO)}:{node.lineno}")
+    # The walk sees the growth where it is.
+    assert "pi_events" in grown
+    read = _attributes_read()
+    # ``NetInterface._effect_log`` is read through its alias
+    # ``Cluster._effect_logs``, which holds the same list objects.
+    read.add("_effect_log")
+    unread = sorted(
+        f"{name} ({places[0]})" for name, places in grown.items() if name not in read
     )
     assert unread == []
 
