@@ -16,7 +16,8 @@ kernel running with interrupts masked behaves.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -34,6 +35,9 @@ class InterruptController:
         self._kernel = kernel
         self._handlers: Dict[int, Handler] = {}
         self._masked: Dict[int, bool] = {}
+        # Per vector: ``(fire action, event label, note detail)``, built
+        # on the vector's first interrupt instead of on every one.
+        self._vectors: Dict[int, Tuple[Callable[[], None], str, str]] = {}
         self.dropped_masked = 0
 
     def register(self, vector: int, handler: Handler) -> None:
@@ -71,22 +75,26 @@ class InterruptController:
         instant; otherwise it fires at the given virtual time.
         """
         kernel = self._kernel
-        time = kernel.now if at is None else at
+        fire, label, _ = self._vectors.get(vector) or self._vector(vector)
+        kernel.schedule_event(kernel.now if at is None else at, fire, label)
 
-        def fire() -> None:
-            self._dispatch(vector)
-
-        kernel.schedule_event(time, fire, label=f"irq{vector}")
+    def _vector(self, vector: int) -> Tuple[Callable[[], None], str, str]:
+        """Build ``vector``'s fire action, event label and note detail."""
+        entry = self._vectors[vector] = (
+            partial(self._dispatch, vector), f"irq{vector}", f"vector {vector}"
+        )
+        return entry
 
     def _dispatch(self, vector: int) -> None:
         kernel = self._kernel
+        detail = (self._vectors.get(vector) or self._vector(vector))[2]
         if self._masked.get(vector, False):
             self.dropped_masked += 1
-            kernel.trace.note(kernel.now, "irq-masked", f"vector {vector}")
+            kernel.trace.note(kernel.now, "irq-masked", detail)
             return
         handler = self._handlers.get(vector)
         kernel.charge(kernel.model.interrupt_entry_ns, "interrupt")
-        kernel.trace.note(kernel.now, "irq", f"vector {vector}")
+        kernel.trace.note(kernel.now, "irq", detail)
         if handler is not None:
             handler(kernel, vector)
         kernel.request_reschedule()

@@ -552,13 +552,22 @@ class Kernel:
         self._dispatch_if_needed()
 
     def _detach_from_waits(self, thread: Thread) -> None:
-        """Purge a thread from every kernel wait structure."""
+        """Purge a thread from every kernel wait structure.
+
+        A thread taken off a semaphore's waiters or parked list no
+        longer donates, so the holder's priority is re-derived.
+        """
         for sem in self.semaphores.values():
+            donated = False
             if thread in sem.waiters:
                 sem.waiters.remove(thread)
+                donated = True
             parked = getattr(sem, "parked", None)
             if parked is not None and thread in parked:
                 parked.remove(thread)
+                donated = True
+            if donated and sem.holder is not None:
+                sem._disinherit(self, sem.holder)
             registry = getattr(sem, "registry", None)
             if registry is not None and thread in registry:
                 registry.remove(thread)

@@ -28,6 +28,8 @@ class KernelEvent:
         self.name = name
         self.pending = False
         self.waiters: List["Thread"] = []
+        # Every wait's block reason, built once.
+        self._block_reason = f"event:{name}"
 
     def wait(self, kernel: "Kernel", thread: "Thread", hint=None) -> bool:
         """Block ``thread`` until signalled.
@@ -42,17 +44,22 @@ class KernelEvent:
             return True
         thread.pending_hint = hint
         self.waiters.append(thread)
-        kernel.block_thread(thread, f"event:{self.name}")
+        kernel.block_thread(thread, self._block_reason)
         return False
 
     def signal(self, kernel: "Kernel") -> int:
         """Wake all waiters (or latch).  Returns the number woken."""
-        if not self.waiters:
+        waiters = self.waiters
+        if not waiters:
             self.pending = True
             return 0
+        if len(waiters) == 1:
+            # A lone waiter needs no priority order.
+            kernel.deliver_unblock(waiters.pop())
+            return 1
         woken = 0
-        for waiter in sorted(self.waiters, key=kernel.priority_rank):
-            self.waiters.remove(waiter)
+        for waiter in sorted(waiters, key=kernel.priority_rank):
+            waiters.remove(waiter)
             kernel.deliver_unblock(waiter)
             woken += 1
         return woken

@@ -52,9 +52,10 @@ construction, not by luck.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.kernel.kernel import Kernel
 from repro.net.fieldbus import Fieldbus
@@ -106,12 +107,21 @@ class Cluster:
         #: a kernel event + closure for a guaranteed no-op).
         self.deliveries_suppressed = 0
         # Suppressed deliveries whose delivery instant has not passed
-        # yet: ``(delivery_time, node_indices_to_bump)``.  The lockstep
-        # reference bumps ``frames_filtered`` inside the no-op
-        # ``deliver`` event at delivery time; deferring the suppressed
-        # bump the same way keeps the stats byte-identical at every
-        # cluster boundary, including frames still in flight at t_end.
-        self._deferred_filter_stats: List[Tuple[int, Tuple[int, ...]]] = []
+        # yet: ``(delivery_time, node_indices_to_bump)``, in delivery
+        # order.  The lockstep reference bumps ``frames_filtered``
+        # inside the no-op ``deliver`` event at delivery time; deferring
+        # the suppressed bump the same way keeps the stats
+        # byte-identical at every cluster boundary, including frames
+        # still in flight at t_end.
+        self._deferred_filter_stats: Deque[Tuple[int, Tuple[int, ...]]] = deque()
+        # Pre-filtered delivery routes of the current ``run_until``
+        # call: ``(sender, can_id) -> (receiving interfaces, indices of
+        # the filtered ones)``.  Dropped at every ``run_until`` entry,
+        # because acceptance filters may change between runs (a
+        # ``HeartbeatMonitor`` adds its identifier when built).
+        self._routes: Dict[Tuple[Optional[str], int], Tuple[tuple, tuple]] = {}
+        # ``net-delivery:<id>`` event labels, built once per identifier.
+        self._delivery_labels: Dict[int, str] = {}
 
     @property
     def now(self) -> int:
@@ -170,22 +180,24 @@ class Cluster:
         tie-breaking sequence numbers deterministically -- independent
         of the order in which the window loop ran the nodes.
         """
+        logs = self._effect_logs
+        if not any(logs):
+            return
         merged = []
-        for index, log in enumerate(self._effect_logs):
+        for index, log in enumerate(logs):
             if log:
                 merged.extend(
                     (record[1], index, seq, record)
                     for seq, record in enumerate(log)
                 )
                 log.clear()
-        if not merged:
-            return
         merged.sort(key=_EFFECT_ORDER)
         bus = self.bus
         for time, _index, _seq, record in merged:
             kind = record[0]
             if kind == "tx":
-                bus.queue(time, record[2])
+                # (kind, time, frame, sender)
+                bus.queue(time, record[2], record[3])
             elif kind == "ms":
                 # (kind, time, monitor, observer, peer, up)
                 record[2]._apply_transition(
@@ -219,6 +231,8 @@ class Cluster:
                 f"(got {quantum!r}); a bus whose smallest frame takes "
                 "no wire time cannot bound conservative synchronization"
             )
+        # Acceptance filters may have changed since the last run.
+        self._routes.clear()
         # Effects staged *outside* the window loops (e.g. a test
         # calling ``interface.transmit`` directly between runs) must
         # reach the bus before the first round's bound computation.
@@ -355,8 +369,10 @@ class Cluster:
         layer is disarmed -- a receiver whose acceptance filter rejects
         the identifier gets its ``frames_filtered`` bumped here instead
         of paying a scheduled kernel event plus a closure for a
-        guaranteed no-op ``deliver`` call.  Corrupted frames always ship
-        (the CRC check runs *before* the acceptance filter and must
+        guaranteed no-op ``deliver`` call.  Such a route depends only
+        on the sender and the identifier, so it is computed once per
+        ``run_until`` call (:meth:`_route`).  Corrupted frames always
+        ship (the CRC check runs *before* the acceptance filter and must
         count at every receiver), and with error confinement armed
         filtered frames ship too -- ``deliver`` feeds the receive error
         counters before filtering, exactly like a real CAN controller.
@@ -365,30 +381,34 @@ class Cluster:
         tests compare against.
         """
         suppressed = 0
-        error_states = self.bus.error_states
+        routed = prefilter and self.bus.error_states is None
         interfaces = self._ifaces
-        n = len(interfaces)
+        routes = self._routes
+        labels = self._delivery_labels
         for delivery in deliveries:
             frame = delivery.frame
             time = delivery.time
             sender = frame.sender
             can_id = frame.can_id
-            route = prefilter and error_states is None and not frame.corrupted
-            label = f"net-delivery:{can_id:#x}"
-            filtered = None
-            for i in range(n):
-                interface = interfaces[i]
-                if prefilter and sender == interface.name:
-                    continue
-                if route:
-                    accept = interface.accept
-                    if accept is not None and can_id not in accept:
-                        if filtered is None:
-                            filtered = [i]
-                        else:
-                            filtered.append(i)
-                        suppressed += 1
-                        continue
+            label = labels.get(can_id)
+            if label is None:
+                label = labels[can_id] = f"net-delivery:{can_id:#x}"
+            if routed and not frame.corrupted:
+                route = routes.get((sender, can_id))
+                if route is None:
+                    route = routes[sender, can_id] = self._route(sender, can_id)
+                receivers, filtered = route
+                if filtered:
+                    # ``frames_filtered`` moves when the frame would
+                    # have been heard, not when the bus completed it --
+                    # exactly like the reference's no-op deliver events.
+                    self._deferred_filter_stats.append((time, filtered))
+                    suppressed += len(filtered)
+            elif prefilter:
+                receivers = [i for i in interfaces if i.name != sender]
+            else:
+                receivers = interfaces
+            for interface in receivers:
                 kernel = interface.kernel
                 kernel_now = kernel.clock.now
                 kernel.events.schedule(
@@ -396,24 +416,34 @@ class Cluster:
                     partial(interface.deliver, frame),
                     label,
                 )
-            if filtered is not None:
-                # ``frames_filtered`` moves when the frame would have
-                # been heard, not when the bus completed it -- exactly
-                # like the reference's no-op deliver events.
-                self._deferred_filter_stats.append((time, tuple(filtered)))
         self.deliveries_suppressed += suppressed
 
-    def _flush_filter_stats(self, up_to: int) -> None:
-        """Apply suppressed-delivery stats whose instant has passed."""
-        keep = []
-        ifaces = self._ifaces
-        for time, indices in self._deferred_filter_stats:
-            if time <= up_to:
-                for i in indices:
-                    ifaces[i].frames_filtered += 1
+    def _route(self, sender: Optional[str], can_id: int) -> Tuple[tuple, tuple]:
+        """``(receiving interfaces, indices of the filtered ones)`` of a
+        pre-filtered ``can_id`` frame from ``sender``."""
+        receivers = []
+        filtered = []
+        for index, interface in enumerate(self._ifaces):
+            if interface.name == sender:
+                continue
+            accept = interface.accept
+            if accept is not None and can_id not in accept:
+                filtered.append(index)
             else:
-                keep.append((time, indices))
-        self._deferred_filter_stats = keep
+                receivers.append(interface)
+        return tuple(receivers), tuple(filtered)
+
+    def _flush_filter_stats(self, up_to: int) -> None:
+        """Apply suppressed-delivery stats whose instant has passed.
+
+        Deliveries complete in time order, so the due entries are the
+        deque's leftmost ones.
+        """
+        deferred = self._deferred_filter_stats
+        ifaces = self._ifaces
+        while deferred and deferred[0][0] <= up_to:
+            for i in deferred.popleft()[1]:
+                ifaces[i].frames_filtered += 1
 
     # ------------------------------------------------------------------
     # per-node queries

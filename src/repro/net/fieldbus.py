@@ -232,20 +232,32 @@ class Fieldbus:
     # ------------------------------------------------------------------
     # transmit queue
     # ------------------------------------------------------------------
-    def queue(self, time: int, frame: Frame) -> None:
+    def queue(self, time: int, frame: Frame, sender: Optional[str] = None) -> None:
         """Register a transmit request stamped with the sender's time.
 
-        Stamps the frame with a stable flow id (its arbitration
-        sequence number) unless the sender already assigned one.  The
-        cluster merges transmissions into the bus in deterministic
-        ``(time, node_index, seq)`` order in every sync mode, so flow
-        ids are identical under lockstep and adaptive.
+        The request carries one frame, built here in a single
+        construction.  With a ``sender`` (the cluster's barrier merge
+        passes the transmitting node) it is ``frame``'s identifier,
+        payload and size, sent by ``sender``, not corrupted, and with
+        the request's arbitration sequence number as its stable flow id,
+        whatever ``frame`` held in those fields.  Without one ``frame``
+        is queued as given, with the sequence number as its flow id
+        unless it already has one.  The cluster merges transmissions
+        into the bus in deterministic ``(time, node_index, seq)`` order
+        in every sync mode, so flow ids are identical under lockstep and
+        adaptive.
         """
         self._sequence += 1
-        if frame.flow is None:
-            frame = replace(frame, flow=self._sequence)
-        request = TransmitRequest(time, frame, self._sequence, origin=time)
-        heappush(self._future, (time, self._sequence, request))
+        sequence = self._sequence
+        if sender is not None:
+            frame = Frame(frame.can_id, frame.payload, frame.size, sender, False, sequence)
+        elif frame.flow is None:
+            frame = Frame(
+                frame.can_id, frame.payload, frame.size, frame.sender,
+                frame.corrupted, sequence,
+            )
+        request = TransmitRequest(time, frame, sequence, time)
+        heappush(self._future, (time, sequence, request))
 
     @property
     def pending_count(self) -> int:

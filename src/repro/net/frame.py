@@ -47,7 +47,8 @@ class Frame:
         can_id: Arbitration identifier; lower value = higher priority.
         payload: Application data (opaque to the bus).
         size: Payload size in bytes (0..8).
-        sender: Name of the sending node (filled by the interface).
+        sender: Name of the sending node (set by the bus when the
+            cluster queues a node's transmission).
     """
 
     can_id: int

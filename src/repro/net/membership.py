@@ -131,13 +131,10 @@ class HeartbeatMonitor:
     def _spawn_sender(
         self, kernel: "Kernel", interface: "NetInterface", node_name: str
     ) -> None:
-        can_id = self.can_id
-        size = self.hb_size
+        frame = Frame(can_id=self.can_id, payload=("hb", node_name), size=self.hb_size)
 
         def beat(kern: "Kernel", thread) -> None:
-            interface.transmit(
-                Frame(can_id=can_id, payload=("hb", node_name), size=size)
-            )
+            interface.transmit(frame)
 
         kernel.create_thread(
             f"hb-tx:{node_name}",

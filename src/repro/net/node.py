@@ -69,7 +69,10 @@ class NetInterface:
         self.kernel = kernel
         self.bus = bus
         #: Acceptance filter: deliver only these identifiers
-        #: (``None`` = promiscuous).
+        #: (``None`` = promiscuous).  Fixed while the cluster runs: each
+        #: :meth:`~repro.net.cluster.Cluster.run_until` call routes a
+        #: ``(sender, can_id)`` pair once and reuses that route, so add
+        #: or remove identifiers only between runs.
         self.accept: Optional[Set[int]] = set(accept) if accept is not None else None
         self.vector = vector
         self.rx_capacity = rx_capacity
@@ -100,18 +103,20 @@ class NetInterface:
     # transmit path (thread -> driver -> bus)
     # ------------------------------------------------------------------
     def transmit(self, frame: Frame) -> None:
-        """Queue a frame for bus arbitration (device-driver send)."""
-        stamped = Frame(
-            can_id=frame.can_id,
-            payload=frame.payload,
-            size=frame.size,
-            sender=self.name,
-        )
-        self.kernel.charge(TX_ACCESS_NS, "net")
+        """Queue a frame for bus arbitration (device-driver send).
+
+        ``frame`` is staged as given, beside this node's name, and never
+        copied: at the barrier merge the bus builds the one frame it
+        carries, sent by this node, uncorrupted and with its own flow id
+        (:meth:`~repro.net.fieldbus.Fieldbus.queue`), so a sender may
+        hand in the same frame on every send.
+        """
+        kernel = self.kernel
+        kernel.charge(TX_ACCESS_NS, "net")
         # Staged for the barrier merge: the bus's arbitration sequence
         # numbers are assigned there, in global (time, node, seq) order
         # -- identical in every sync mode.
-        self._effect_log.append(("tx", self.kernel.now, stamped))
+        self._effect_log.append(("tx", kernel.now, frame, self.name))
         self.frames_sent += 1
 
     # ------------------------------------------------------------------
@@ -195,9 +200,14 @@ def net_send(
     Lets declarative thread programs send on the bus::
 
         Program([Compute(us(100)), net_send(iface, can_id=0x10, size=4)])
+
+    The frame is built once, here, and every execution hands that same
+    frame to :meth:`NetInterface.transmit`; so an invalid ``can_id`` or
+    ``size`` raises ``ValueError`` when the op is built.
     """
+    frame = Frame(can_id=can_id, payload=payload, size=size)
 
     def call(kernel, thread) -> None:
-        interface.transmit(Frame(can_id=can_id, payload=payload, size=size))
+        interface.transmit(frame)
 
     return Call(call, label=f"net-send:{can_id:#x}")

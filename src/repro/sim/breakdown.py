@@ -303,7 +303,6 @@ class FigureSeries:
     """
 
     task_counts: List[int]
-    period_divisor: int
     workloads_per_point: int
     values: Dict[str, List[float]] = field(default_factory=dict)
 
@@ -370,7 +369,6 @@ def figure_series(
     model = model if model is not None else OverheadModel()
     series = FigureSeries(
         task_counts=list(task_counts),
-        period_divisor=period_divisor,
         workloads_per_point=workloads_per_point,
         values={p: [] for p in policies},
     )

@@ -45,7 +45,6 @@ class PairOverhead:
 
     queue: str
     scheme: str
-    queue_length: int
     overhead_ns: int
     context_switches: int
     #: The semaphore's hint parks: each saves one context switch.
@@ -194,7 +193,6 @@ def measure_pair_overhead(
     return PairOverhead(
         queue=queue,
         scheme=scheme,
-        queue_length=queue_length,
         overhead_ns=overhead,
         context_switches=kernel.trace.context_switches - switches_before,
         saved_switches=saved,

@@ -69,10 +69,15 @@ class ConditionVariable:
             kernel.unblock_thread(waiter)
         else:
             # Stay blocked, but now on the mutex, donating down its
-            # holder chain like any other waiter.
+            # holder chain and reported like any other waiter.
             mutex._inherit_chain(kernel, waiter)
-            waiter.blocked_on = f"sem:{mutex_name}"
+            reason = f"sem:{mutex_name}"
+            waiter.blocked_on = reason
             mutex.waiters.append(waiter)
+            obs = kernel.obs
+            if obs is not None:
+                obs.on_sem_wait(mutex_name, len(mutex.donor_threads()))
+                obs.on_block(waiter.name, reason, kernel.now)
 
     def __repr__(self) -> str:
         return f"<ConditionVariable {self.name}, {len(self.waiters)} waiting>"

@@ -233,6 +233,23 @@ class TestDeliveryPrefilter:
         assert suppressed["adaptive"] > 0
         assert suppressed["lockstep"] == 0
 
+    def test_widened_filter_reroutes_later_deliveries(self):
+        """Filters are fixed only while the cluster runs: a filter
+        widened between two ``run_until`` calls takes the frames it
+        rejected before, in both sync modes alike."""
+        snaps = {}
+        for sync in SYNC_MODES:
+            cluster = self._ring(sync)
+            cluster.run_until(ms(12))
+            # n2 hears its predecessor n1 (0x101); now n0 (0x100) too.
+            cluster.interfaces["n2"].accept.add(0x100)
+            cluster.run_until(ms(25))
+            snaps[sync] = _snapshot(cluster)
+        assert snaps["adaptive"] == snaps["lockstep"]
+        heard = snaps["adaptive"]["timelines"]["n2"]
+        assert {can_id for t, can_id in heard if t < ms(12)} == {0x101}
+        assert {can_id for t, can_id in heard if t > ms(12)} == {0x100, 0x101}
+
     def test_in_flight_frame_stats_are_not_counted_early(self):
         """A frame still on the wire at t_end must not have bumped any
         receiver's ``frames_filtered`` yet (the reference's no-op

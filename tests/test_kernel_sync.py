@@ -208,7 +208,10 @@ class TestPriorityInheritance:
     def test_killed_donor_leaves_no_inherited_priority(self, scheme, scheduler):
         """high donates to low and is killed while it waits: under the
         EMERALDS scheme on an FP queue it is low's place-holder, and the
-        release must re-derive low's priority instead of swapping back."""
+        release must re-derive low's priority instead of swapping back.
+        The kill itself ends the donation: mid, released after it,
+        preempts low at once instead of waiting out low's critical
+        section."""
         k = Kernel(scheduler(ZERO_OVERHEAD), sem_scheme=scheme)
         k.create_semaphore("m")
         k.create_thread(
@@ -220,9 +223,13 @@ class TestPriorityInheritance:
             period=ms(100),
             phase=us(300),
         )
+        k.create_thread(
+            "mid", Program([Compute(ms(1))]), period=ms(200), phase=us(600)
+        )
         k.run_until(us(500))
         k.crash_thread("high")
-        k.run_until(ms(10))
+        trace = k.run_until(ms(10))
+        assert trace.jobs_of("mid")[0].completion == us(1600)
         low = k.threads["low"]
         assert low.effective_key == low.base_key
         assert low.pi_deadline is None
@@ -466,7 +473,8 @@ class TestConditionVariables:
     @pytest.mark.parametrize("scheme", ["standard", "emeralds"])
     def test_wake_donation_reaches_collector_and_chain(self, scheme):
         """A signalled waiter that finds the mutex held donates to the
-        holder through the shared walk, so the collector sees it."""
+        holder through the shared walk and blocks on the mutex, so the
+        collector sees both."""
         from repro.obs.analyzers import pi_chains
         from repro.obs.collector import ObsCollector, PiEvent
 
@@ -488,6 +496,10 @@ class TestConditionVariables:
         )
         k.run_until(ms(10))
         kind = "swap" if scheme == "emeralds" else "raise"
+        # W waits for mx from the signal (100 us) to H's release (2.1 ms).
+        assert collector.sems["mx"].blocks == 1
+        assert collector.sems["mx"].blocked_ns == ms(2)
+        assert collector.sems["mx"].max_waiters == 1
         assert collector.sems["mx"].donations == 1
         assert collector.pi_events == [
             PiEvent(us(100), "mx", "W", "H", kind, False),

@@ -82,6 +82,25 @@ class TestFieldbus:
         bus.process(horizon=ms(1))
         assert bus.total_arbitration_wait_ns == bus.frame_time_ns(0)
 
+    def test_queue_builds_the_carried_frame(self):
+        """With a sender, the carried frame is the given one sent by
+        that node, not corrupted, with the arbitration sequence number
+        as flow even over a flow the caller set; without one, the frame
+        is carried as given, its flow stamped only when unset."""
+        bus = Fieldbus(1_000_000)
+        bus.queue(0, Frame(can_id=1, size=0))
+        bus.queue(0, Frame(can_id=2, size=0, flow=77))
+        bus.queue(
+            0,
+            Frame(can_id=3, payload="p", size=3, sender="x", corrupted=True, flow=77),
+            sender="a",
+        )
+        first, second, third = (d.frame for d in bus.process(horizon=ms(1)))
+        assert (first.sender, first.corrupted, first.flow) == (None, False, 1)
+        assert (second.sender, second.flow) == (None, 77)
+        assert (third.can_id, third.payload, third.size) == (3, "p", 3)
+        assert (third.sender, third.corrupted, third.flow) == ("a", False, 3)
+
 
 def make_driver_program(interface, received):
     """A user-level rx driver: wait for the interrupt, then drain the
@@ -124,6 +143,14 @@ class TestCluster:
         assert can_id == 0x11 and payload == "hello"
         # Latency >= wire time of a 4-byte frame (79 us at 1 Mbit/s).
         assert time >= us(10) + 79_000
+
+    def test_net_send_validates_its_frame_when_built(self):
+        """net_send builds its one frame with the op, so a bad
+        identifier fails there, not at the first send."""
+        cluster = Cluster(Fieldbus(1_000_000))
+        iface = cluster.add_node("tx", zero_kernel())
+        with pytest.raises(ValueError):
+            net_send(iface, can_id=-1)
 
     def test_sender_does_not_hear_itself(self):
         cluster = Cluster(Fieldbus(1_000_000))
