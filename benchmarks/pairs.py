@@ -14,7 +14,9 @@ discarded.  Then, per pair, both workers time one round each, the side
 that goes first alternating from pair to pair, and both sides' operation
 digests must agree.  The output is the median per-round time ratio
 (base/change, so above 1 means the change is faster), its quartiles and
-the pairs the change won.
+the pairs the change won; then each side's median round time, its
+quartiles and its quartile distance as a fraction of the median (see
+:func:`spread`).
 
 Make the base checkout with ``git archive <commit> | tar -x -C DIR``;
 run 10-20 pairs at seeds no earlier comparison used.
@@ -29,6 +31,20 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 USAGE = "usage: pairs.py BASE_ROOT CHANGE_ROOT WORKLOAD SEED PAIRS"
+
+
+def spread(times):
+    """``(median, q1, q3, (q3 - q1) / median)`` of one side's round
+    seconds.
+
+    A gain is claimed only when the medians differ by more than the
+    base side's quartile distance, so the base line shows that rule's
+    threshold.  Per-round spreads are wider than those of whole
+    ``simbench/run.py`` runs, each of which times many rounds.
+    """
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    median = statistics.median(times)
+    return median, q1, q3, (q3 - q1) / median
 
 
 def worker(root: str, name: str, seed: str) -> None:
@@ -99,11 +115,14 @@ def main(argv) -> int:
         for proc in sides.values():
             _round(proc)  # warm-up, discarded
         ratios = []
+        times = {"base": [], "change": []}
         for index in range(pairs):
             order = ("base", "change") if index % 2 == 0 else ("change", "base")
             result = {side: _round(sides[side]) for side in order}
             if result["base"]["ops"] != result["change"]["ops"]:
                 raise SystemExit(f"pair {index}: operation digests differ")
+            for side in times:
+                times[side].append(result[side]["run_s"])
             ratio = result["base"]["run_s"] / result["change"]["run_s"]
             ratios.append(ratio)
             print(
@@ -123,6 +142,12 @@ def main(argv) -> int:
         f"{statistics.median(ratios):.3f}, quartiles {q1:.3f}-{q3:.3f}, "
         f"change won {won}/{len(ratios)}"
     )
+    for side, run_s in times.items():
+        median, q1, q3, distance = spread(run_s)
+        print(
+            f"{side} round: median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s, "
+            f"quartile distance {distance:.1%} of the median"
+        )
     return 0
 
 

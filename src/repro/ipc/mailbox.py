@@ -87,7 +87,7 @@ class Mailbox:
         if self.full:
             self.blocked_sends += 1
             self.senders.append(thread)
-            kernel.block_thread(thread, f"mbox-send:{self.name}")
+            kernel.block_thread(thread, "mbox-send", self)
             return False
         kernel.charge(self._copy_cost(kernel, size), "ipc")
         self._messages.append((payload, size))
@@ -117,7 +117,7 @@ class Mailbox:
             return True
         thread.pending_hint = hint
         self.receivers.append(thread)
-        kernel.block_thread(thread, f"mbox-recv:{self.name}")
+        kernel.block_thread(thread, "mbox-recv", self)
         return False
 
     # ------------------------------------------------------------------

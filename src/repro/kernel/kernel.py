@@ -54,7 +54,7 @@ from repro.sim.trace import IDLE, KERNEL, Trace
 from repro.sync.condvar import ConditionVariable
 from repro.sync.emeralds_sem import EmeraldsSemaphore
 from repro.sync.parser import held_across_blocking, insert_hints
-from repro.sync.semaphore import StandardSemaphore
+from repro.sync.semaphore import LOCK_WAITS, StandardSemaphore
 
 __all__ = ["Kernel", "KernelError"]
 
@@ -66,6 +66,19 @@ STATE_IDLE = ThreadState.IDLE
 STATE_READY = ThreadState.READY
 STATE_RUNNING = ThreadState.RUNNING
 STATE_BLOCKED = ThreadState.BLOCKED
+
+
+#: Per wait kind, the queue attribute of the object waited on and how to
+#: take a thread off it (condvar waiters map to the mutex they re-take).
+#: A registry freeze queues its thread nowhere but on the registry.
+_WAIT_QUEUES = {
+    "sem": ("waiters", list.remove),
+    "sem-parked": ("parked", list.remove),
+    "event": ("waiters", list.remove),
+    "mbox-recv": ("receivers", list.remove),
+    "mbox-send": ("senders", list.remove),
+    "cv": ("waiters", dict.pop),
+}
 
 
 class KernelError(Exception):
@@ -391,18 +404,33 @@ class Kernel:
     # ------------------------------------------------------------------
     # thread state transitions
     # ------------------------------------------------------------------
-    def block_thread(self, thread: Thread, reason: str) -> None:
-        """Block a thread, charging ``t_b`` (Section 5.1)."""
+    def block_thread(self, thread: Thread, kind: str, on=None) -> None:
+        """Block a thread in a ``kind`` wait on ``on``, charging ``t_b``
+        (Section 5.1)."""
         if thread.state == STATE_BLOCKED:
             raise KernelError(f"{thread.name} is already blocked")
         thread.state = STATE_BLOCKED
-        thread.blocked_on = reason
+        thread.wait_kind = kind
+        thread.wait_on = on
         cost = self.scheduler.on_block(thread)
         self.charge(cost, "sched")
         obs = self.obs
         if obs is not None:
-            obs.on_block(thread.name, reason, self.clock.now)
+            if kind == "sem":
+                obs.on_sem_wait(on.name, len(on.donor_threads()))
+            sem = on.name if kind in ("sem", "sem-registry") else None
+            obs.on_block(thread.name, sem, self.clock.now)
         self._need_resched = True
+
+    def requeue_thread(self, thread: Thread, kind: str, sem) -> None:
+        """Move a waiting thread into a wait of ``kind`` on semaphore
+        ``sem``: a hint park, or a condvar waiter moved onto its mutex."""
+        thread.wait_kind = kind
+        thread.wait_on = sem
+        obs = self.obs
+        if obs is not None:
+            obs.on_sem_wait(sem.name, len(sem.donor_threads()))
+            obs.on_block(thread.name, sem.name, self.clock.now)
 
     def unblock_thread(self, thread: Thread) -> None:
         """Make a blocked thread ready, charging ``t_u`` and ``t_s``."""
@@ -412,10 +440,12 @@ class Kernel:
             raise KernelError(f"{thread.name} is not blocked")
         if thread.suspended:
             # Deferred wake-up: the thread becomes runnable at resume.
-            thread.blocked_on = "suspended"
+            thread.wait_kind = "suspended"
+            thread.wait_on = None
             return
         thread.state = STATE_READY
-        thread.blocked_on = None
+        thread.wait_kind = None
+        thread.wait_on = None
         cost = self.scheduler.on_unblock(thread)
         self.charge(cost, "sched")
         obs = self.obs
@@ -437,10 +467,7 @@ class Kernel:
             sem = self.semaphores.get(hint)
             if sem is not None and hasattr(sem, "on_hint_unblock"):
                 if sem.on_hint_unblock(self, thread):
-                    thread.blocked_on = f"sem-parked:{hint}"
-                    obs = self.obs
-                    if obs is not None:
-                        obs.on_block(thread.name, thread.blocked_on, self.clock.now)
+                    self.requeue_thread(thread, "sem-parked", sem)
                     return
         self.unblock_thread(thread)
 
@@ -515,7 +542,7 @@ class Kernel:
             raise KernelError(f"{name} is not suspended")
         thread.suspended = False
         self.trace.note(self.now, "resume", name)
-        if thread.blocked_on == "suspended":
+        if thread.wait_kind == "suspended":
             # It was runnable when suspended (or a wake-up arrived
             # while suspended): back onto the ready queue.
             self.unblock_thread(thread)
@@ -544,7 +571,8 @@ class Kernel:
             self.scheduler.on_block(thread)
         self.scheduler.remove_task(thread)
         thread.state = STATE_BLOCKED
-        thread.blocked_on = "dead"
+        thread.wait_kind = "dead"
+        thread.wait_on = None
         self.trace.note(self.now, "kill", name)
         if self.running is thread:
             self.running = None
@@ -552,35 +580,22 @@ class Kernel:
         self._dispatch_if_needed()
 
     def _detach_from_waits(self, thread: Thread) -> None:
-        """Purge a thread from every kernel wait structure.
-
-        A thread taken off a semaphore's waiters or parked list no
-        longer donates, so the holder's priority is re-derived.
-        """
+        """Take a thread off the one queue its wait record names, and off
+        any Section 6.3.1 registry (a woken thread can be on one without
+        waiting).  A lock waiter no longer donates, so every holder down
+        the chain from its semaphore re-derives its priority."""
+        kind = thread.wait_kind
+        queue = _WAIT_QUEUES.get(kind)
+        if queue is not None:
+            attr, unqueue = queue
+            on = thread.wait_on
+            unqueue(getattr(on, attr), thread)
+            if kind in LOCK_WAITS:
+                on._disinherit_chain(self)
         for sem in self.semaphores.values():
-            donated = False
-            if thread in sem.waiters:
-                sem.waiters.remove(thread)
-                donated = True
-            parked = getattr(sem, "parked", None)
-            if parked is not None and thread in parked:
-                parked.remove(thread)
-                donated = True
-            if donated and sem.holder is not None:
-                sem._disinherit(self, sem.holder)
             registry = getattr(sem, "registry", None)
             if registry is not None and thread in registry:
                 registry.remove(thread)
-        for event in self.events_by_name.values():
-            if thread in event.waiters:
-                event.waiters.remove(thread)
-        for mbox in self.mailboxes.values():
-            if thread in mbox.receivers:
-                mbox.receivers.remove(thread)
-            if thread in mbox.senders:
-                mbox.senders.remove(thread)
-        for cv in self.condvars.values():
-            cv.waiters = [(t, m) for (t, m) in cv.waiters if t is not thread]
 
     def _release_held(self, thread: Thread) -> None:
         """Release every semaphore a dying/aborting thread holds, so
@@ -690,7 +705,8 @@ class Kernel:
             cost = self.scheduler.on_block(thread)
             self.charge(cost, "sched")
         thread.state = STATE_IDLE
-        thread.blocked_on = None
+        thread.wait_kind = None
+        thread.wait_on = None
         thread.pending_releases = 0
         thread.abs_deadline = None
         thread.rank_cache = None
@@ -801,10 +817,11 @@ class Kernel:
             # Common case (no parser hint, not suspended) inlined:
             # deliver_unblock -> unblock_thread -> on_unblock -> charge
             # is four frames deep, and periodic releases pay it on
-            # every job.  Must mirror those methods exactly.
+            # every job.  Must mirror those methods exactly (an idle
+            # thread's wait record names no object).
             thread.pending_hint = None
             thread.state = STATE_READY
-            thread.blocked_on = None
+            thread.wait_kind = None
             sched = self.scheduler
             cost = sched._unblock(thread)
             stats = sched.stats
@@ -885,7 +902,8 @@ class Kernel:
                 self._arm_deadline_check(thread, record)
             return  # stays ready; next job starts immediately
         thread.state = STATE_BLOCKED
-        thread.blocked_on = "period" if thread.spec is not None else "activation"
+        # The thread ran, so its record names no object.
+        thread.wait_kind = "period" if thread.spec is not None else "activation"
         thread.abs_deadline = None
         thread.rank_cache = None
         # Inlined scheduler.on_block + charge (this runs once per job).

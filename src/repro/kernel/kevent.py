@@ -28,8 +28,6 @@ class KernelEvent:
         self.name = name
         self.pending = False
         self.waiters: List["Thread"] = []
-        # Every wait's block reason, built once.
-        self._block_reason = f"event:{name}"
 
     def wait(self, kernel: "Kernel", thread: "Thread", hint=None) -> bool:
         """Block ``thread`` until signalled.
@@ -44,7 +42,7 @@ class KernelEvent:
             return True
         thread.pending_hint = hint
         self.waiters.append(thread)
-        kernel.block_thread(thread, self._block_reason)
+        kernel.block_thread(thread, "event", self)
         return False
 
     def signal(self, kernel: "Kernel") -> int:

@@ -79,7 +79,8 @@ class Thread(Schedulable):
         "release_time",
         "pending_releases",
         "relative_deadline",
-        "blocked_on",
+        "wait_kind",
+        "wait_on",
         "pending_hint",
         "held_sems",
         "last_received",
@@ -163,8 +164,11 @@ class Thread(Schedulable):
             self.relative_deadline = spec.deadline
         else:
             self.relative_deadline = None
-        #: What the thread is blocked in ("sem:mtx", "event:crank", ...).
-        self.blocked_on: Optional[str] = None
+        #: The wait record, written only by the kernel: the kind of wait
+        #: ("sem", "event", "period", ...) and the semaphore, event,
+        #: mailbox or condvar waited on, for the kinds that have one.
+        self.wait_kind: Optional[str] = None
+        self.wait_on: Optional[object] = None
         #: Semaphore hint carried by the blocking call the thread is
         #: suspended in (inserted by the code parser, Section 6.2.1).
         self.pending_hint: Optional[str] = None
@@ -225,6 +229,12 @@ class Thread(Schedulable):
         self.restart_count = 0
         #: Releases before this time are skipped (restart back-off).
         self.restart_until: Optional[int] = None
+
+    @property
+    def blocked_on(self) -> Optional[str]:
+        """The wait record as a label (``"sem:mtx"``, ``"period"``, ...)."""
+        on = self.wait_on
+        return self.wait_kind if on is None else f"{self.wait_kind}:{on.name}"
 
     @property
     def periodic(self) -> bool:

@@ -57,10 +57,6 @@ __all__ = ["ObsCollector", "PiEvent", "OBS_MODES"]
 #: Valid collector modes, least to most detailed.
 OBS_MODES = ("counters", "full")
 
-#: ``blocked_on`` prefixes that mean "waiting because of a semaphore".
-#: The part after the first colon is the semaphore name.
-_SEM_REASONS = ("sem:", "sem-parked:", "sem-registry:")
-
 
 class PiEvent(NamedTuple):
     """One priority-inheritance step (full mode only).
@@ -156,14 +152,12 @@ class ObsCollector:
     # ------------------------------------------------------------------
     # hooks (called by the kernel and the semaphores)
     # ------------------------------------------------------------------
-    def on_block(self, thread: str, reason: str, now: int) -> None:
-        """A thread blocked; track it when a semaphore is the cause."""
-        for prefix in _SEM_REASONS:
-            if reason.startswith(prefix):
-                sem = reason[len(prefix):]
-                self._sem(sem).blocks += 1
-                self._block_since[thread] = (sem, now)
-                return
+    def on_block(self, thread: str, sem: Optional[str], now: int) -> None:
+        """A thread blocked; track it when it waits for semaphore
+        ``sem`` (``None`` for every other wait)."""
+        if sem is not None:
+            self._sem(sem).blocks += 1
+            self._block_since[thread] = (sem, now)
 
     def on_unblock(self, thread: str, now: int) -> None:
         """A thread woke; close its open blocking episode, if any."""

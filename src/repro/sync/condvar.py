@@ -11,7 +11,7 @@ every waiter.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -29,8 +29,8 @@ class ConditionVariable:
 
     def __init__(self, name: str):
         self.name = name
-        #: Blocked waiters together with the mutex each must re-acquire.
-        self.waiters: List[tuple] = []
+        #: Blocked waiters, each mapped to the mutex it must re-acquire.
+        self.waiters: Dict["Thread", str] = {}
 
     def wait(self, kernel: "Kernel", thread: "Thread", mutex_name: str) -> None:
         """Release ``mutex_name`` and block until signalled."""
@@ -41,25 +41,22 @@ class ConditionVariable:
             raise CondVarError(
                 f"cv {self.name}: {thread.name} waits without holding {mutex_name}"
             )
-        self.waiters.append((thread, mutex_name))
+        self.waiters[thread] = mutex_name
         # Release wakes the next mutex waiter (if any) and hands off.
         mutex.release(kernel, thread)
-        kernel.block_thread(thread, f"cv:{self.name}")
+        kernel.block_thread(thread, "cv", self)
 
     def signal(self, kernel: "Kernel", thread: "Thread") -> None:
         """Wake the highest-priority waiter."""
         if not self.waiters:
             return
-        best = min(self.waiters, key=lambda w: kernel.priority_rank(w[0]))
-        self.waiters.remove(best)
-        self._wake(kernel, *best)
+        best = min(self.waiters, key=kernel.priority_rank)
+        self._wake(kernel, best, self.waiters.pop(best))
 
     def broadcast(self, kernel: "Kernel", thread: "Thread") -> None:
         """Wake every waiter (in priority order)."""
-        waiting = sorted(self.waiters, key=lambda w: kernel.priority_rank(w[0]))
-        self.waiters.clear()
-        for waiter, mutex_name in waiting:
-            self._wake(kernel, waiter, mutex_name)
+        for waiter in sorted(self.waiters, key=kernel.priority_rank):
+            self._wake(kernel, waiter, self.waiters.pop(waiter))
 
     def _wake(self, kernel: "Kernel", waiter: "Thread", mutex_name: str) -> None:
         """Transition a waiter from the CV to mutex re-acquisition."""
@@ -71,13 +68,8 @@ class ConditionVariable:
             # Stay blocked, but now on the mutex, donating down its
             # holder chain and reported like any other waiter.
             mutex._inherit_chain(kernel, waiter)
-            reason = f"sem:{mutex_name}"
-            waiter.blocked_on = reason
             mutex.waiters.append(waiter)
-            obs = kernel.obs
-            if obs is not None:
-                obs.on_sem_wait(mutex_name, len(mutex.donor_threads()))
-                obs.on_block(waiter.name, reason, kernel.now)
+            kernel.requeue_thread(waiter, "sem", mutex)
 
     def __repr__(self) -> str:
         return f"<ConditionVariable {self.name}, {len(self.waiters)} waiting>"

@@ -111,9 +111,6 @@ class EmeraldsSemaphore(StandardSemaphore):
             self._inherit_chain(kernel, thread)
             self.parked.append(thread)
             self.parks += 1
-            obs = kernel.obs
-            if obs is not None:
-                obs.on_sem_wait(self.name, len(self.donor_threads()))
             return True
         if self.registry_enabled:
             self.registry.append(thread)
@@ -198,13 +195,13 @@ class EmeraldsSemaphore(StandardSemaphore):
         for member in list(self.registry):
             if member is locker:
                 continue
-            if member.blocked_on is None and member is not kernel.running:
-                kernel.block_thread(member, f"sem-registry:{self.name}")
+            if member.wait_kind is None and member is not kernel.running:
+                kernel.block_thread(member, "sem-registry", self)
                 self.registry_blocks += 1
 
     def _registry_thaw(self, kernel: "Kernel") -> None:
         for member in list(self.registry):
-            if member.blocked_on == f"sem-registry:{self.name}":
+            if member.wait_kind == "sem-registry" and member.wait_on is self:
                 kernel.unblock_thread(member)
 
 

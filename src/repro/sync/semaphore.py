@@ -43,10 +43,16 @@ if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
     from repro.kernel.thread import Thread
 
-__all__ = ["StandardSemaphore", "SemaphoreError", "pi_step", "recompute_inheritance"]
+__all__ = [
+    "LOCK_WAITS", "StandardSemaphore", "SemaphoreError", "pi_step", "recompute_inheritance"
+]
 
 #: Maximum priority-inheritance chain length walked on a block.
 _MAX_PI_CHAIN = 32
+
+#: The wait kinds of a thread that waits for a semaphore's lock: in its
+#: queue, or parked on it by the hint check.
+LOCK_WAITS = ("sem", "sem-parked")
 
 
 class SemaphoreError(Exception):
@@ -165,10 +171,7 @@ class StandardSemaphore:
         self.contended_acquires += 1
         self._inherit_chain(kernel, thread)
         self.waiters.append(thread)
-        obs = kernel.obs
-        if obs is not None:
-            obs.on_sem_wait(self.name, len(self.donor_threads()))
-        kernel.block_thread(thread, f"sem:{self.name}")
+        kernel.block_thread(thread, "sem", self)
 
     def _unlock(self, kernel: "Kernel", thread: "Thread") -> None:
         """Release body: undo inheritance, hand the lock over."""
@@ -214,10 +217,7 @@ class StandardSemaphore:
             holder = sem.holder
             if holder is None:
                 return
-            reason = holder.blocked_on
-            awaited = None
-            if reason is not None and reason.startswith(("sem:", "sem-parked:")):
-                awaited = kernel.semaphores.get(reason.split(":", 1)[1])
+            awaited = holder.wait_on if holder.wait_kind in LOCK_WAITS else None
             if rank(donor) < rank(holder):
                 direct = sem is self
                 cost, kind = sem._donate(
@@ -239,6 +239,20 @@ class StandardSemaphore:
     def _disinherit(self, kernel: "Kernel", thread: "Thread") -> None:
         """Undo ``thread``'s inheritance after it released this semaphore."""
         recompute_inheritance(kernel, thread)
+
+    def _disinherit_chain(self, kernel: "Kernel") -> None:
+        """A donor left this semaphore (it was killed or restarted):
+        re-derive each holder down the chain, which inherited through the
+        hop before."""
+        sem = self
+        for _ in range(_MAX_PI_CHAIN):
+            holder = sem.holder
+            if holder is None:
+                return
+            sem._disinherit(kernel, holder)
+            if holder.wait_kind not in LOCK_WAITS:
+                return
+            sem = holder.wait_on
 
     def __repr__(self) -> str:
         state = f"held by {self.holder.name}" if self.holder else "free"

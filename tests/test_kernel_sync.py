@@ -235,6 +235,46 @@ class TestPriorityInheritance:
         assert low.pi_deadline is None
         assert low.pi_donor_of is None
 
+    @pytest.mark.parametrize("scheduler", [RMScheduler, EDFScheduler], ids=["rm", "edf"])
+    @pytest.mark.parametrize("scheme", ["standard", "emeralds"])
+    def test_killed_donor_boost_ends_down_the_chain(self, scheme, scheduler):
+        """high waits for m1, held by midlock, which waits for m2, held
+        by low: high's donation reaches low through midlock.  The kill
+        ends it at the far end of the chain too: low keeps only
+        midlock's donation, so mid, released after the kill and ranked
+        above midlock, preempts low at once."""
+        k = Kernel(scheduler(ZERO_OVERHEAD), sem_scheme=scheme)
+        k.create_semaphore("m1")
+        k.create_semaphore("m2")
+        k.create_thread(
+            "low", Program([Acquire("m2"), Compute(ms(5)), Release("m2")]), period=ms(400)
+        )
+        k.create_thread(
+            "midlock",
+            Program([Compute(us(10)), Acquire("m1"), Acquire("m2"), Compute(us(100)),
+                     Release("m2"), Release("m1")]),
+            period=ms(200),
+            phase=us(100),
+        )
+        k.create_thread(
+            "high",
+            Program([Compute(us(10)), Acquire("m1"), Compute(ms(1)), Release("m1")]),
+            period=ms(100),
+            phase=us(300),
+        )
+        k.create_thread(
+            "mid", Program([Compute(ms(1))]), period=ms(150), phase=us(600)
+        )
+        k.run_until(us(500))
+        k.crash_thread("high")
+        low = k.threads["low"]
+        if scheduler is RMScheduler:
+            assert low.effective_key == (ms(200), "midlock")
+        else:
+            assert low.pi_deadline == ms(200) + us(100)
+        trace = k.run_until(ms(10))
+        assert trace.jobs_of("mid")[0].completion == us(1600)
+
     def test_priority_restored_after_release(self):
         k = Kernel(RMScheduler(ZERO_OVERHEAD), sem_scheme="standard")
         k.create_semaphore("m")

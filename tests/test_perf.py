@@ -433,6 +433,34 @@ def test_every_grown_list_has_a_reader():
     assert unread == []
 
 
+def _label_loads(directory):
+    """Where modules under ``directory`` load the attribute
+    ``blocked_on``, by path."""
+    return [
+        f"{path.relative_to(_REPO)}:{node.lineno}"
+        for path, tree in _syntax_trees(directory)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "blocked_on"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_no_wait_is_read_back_from_text():
+    """A thread's wait is one record, ``wait_kind`` and ``wait_on``;
+    ``Thread.blocked_on`` is only a label derived from it.  No ``src/``
+    module but ``kernel/thread.py`` loads that label, so no code parses
+    a wait back from text."""
+    # The walk sees a load where there is one.
+    assert any(where.startswith("tests/") for where in _label_loads("tests"))
+    offenders = [
+        where
+        for where in _label_loads("src")
+        if not where.startswith("src/repro/kernel/thread.py:")
+    ]
+    assert offenders == []
+
+
 # ----------------------------------------------------------------------
 # profiler
 # ----------------------------------------------------------------------

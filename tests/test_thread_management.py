@@ -4,13 +4,92 @@ import pytest
 
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import ZERO_OVERHEAD
+from repro.core.rm import RMScheduler
 from repro.kernel.kernel import Kernel, KernelError
-from repro.kernel.program import Acquire, Compute, Program, Release, Wait
+from repro.kernel.program import (
+    Acquire,
+    Compute,
+    CvSignal,
+    CvWait,
+    Program,
+    Recv,
+    Release,
+    Send,
+    Wait,
+)
 from repro.timeunits import ms, us
 
 
 def zero_kernel():
     return Kernel(EDFScheduler(ZERO_OVERHEAD))
+
+
+def _waiting_victim(case):
+    """A kernel in which the thread ``victim``, holding no lock, is in
+    the wait ``case`` names at 1 ms.  Where it waits for a lock (or is
+    moved onto one from a condvar), it donates to the holder."""
+    scheme = "standard" if case == "sem-queue" else "emeralds"
+    k = Kernel(RMScheduler(ZERO_OVERHEAD), sem_scheme=scheme)
+    k.create_semaphore("S")
+    k.create_event("E")
+    k.create_mailbox("MB", capacity=1)
+    k.create_condvar("cv")
+    if case in ("sem-queue", "hint-park"):
+        # Queued on S, or parked on it by the hint of its release.
+        k.create_thread(
+            "holder", Program([Acquire("S"), Compute(ms(5)), Release("S")]),
+            period=ms(100),
+        )
+        victim = [Acquire("S"), Release("S")]
+        k.create_thread("victim", Program(victim), period=ms(50), phase=us(100))
+        return k
+    if case == "registry-freeze":
+        # Figure 9: E wakes victim with S free (the registry); holder
+        # then locks S, freezing victim, and holds it across a Wait.
+        k.create_event("F")
+        victim = [Wait("E"), Compute(us(100)), Acquire("S"), Release("S")]
+        k.create_thread("victim", Program(victim), period=ms(100))
+        k.create_thread(
+            "holder",
+            Program([Wait("F"), Acquire("S"), Wait("F"), Compute(us(10)), Release("S")]),
+            period=ms(50),
+        )
+        for event, at in (("E", us(20)), ("F", us(30)), ("F", ms(5))):
+            timer = k.create_timer(
+                f"{event}@{at}", at, lambda kern, e=event: kern.events_by_name[e].signal(kern)
+            )
+            timer.start()
+        return k
+    if case.startswith("cv"):
+        # The signal comes at 2 ms, or at once from a thread that then
+        # holds the mutex, onto which it moves victim.
+        moved = case == "cv-moved-to-mutex"
+        victim = [Acquire("S"), CvWait("cv", "S"), Release("S")]
+        k.create_thread("victim", Program(victim), period=ms(50))
+        signaller = [Compute(us(100) if moved else ms(2)), Acquire("S"), CvSignal("cv"),
+                     Compute(ms(2)), Release("S")]
+        k.create_thread("signaller", Program(signaller), period=ms(100))
+        return k
+    victim = {
+        "event": [Wait("E")],
+        "mbox-recv": [Recv("MB")],
+        "mbox-send-full": [Send("MB"), Send("MB")],
+    }[case]
+    k.create_thread("victim", Program(victim), period=ms(50))
+    k.create_thread("other", Program([Compute(ms(2))]), period=ms(100))
+    return k
+
+
+def _wait_queues(k):
+    """Every list or map of waiting threads the kernel's objects keep."""
+    for sem in k.semaphores.values():
+        yield from (sem.waiters, getattr(sem, "parked", ()), getattr(sem, "registry", ()))
+    for event in k.events_by_name.values():
+        yield event.waiters
+    for mbox in k.mailboxes.values():
+        yield from (mbox.receivers, mbox.senders)
+    for cv in k.condvars.values():
+        yield cv.waiters
 
 
 class TestSuspendResume:
@@ -109,47 +188,47 @@ class TestKill:
         with pytest.raises(KernelError):
             k.kill_thread("t")
 
-    def test_killed_waiter_removed_from_semaphore(self):
-        # Standard scheme: under EMERALDS the waiter would be *parked*
-        # by the hint check instead (covered below).
-        k = Kernel(EDFScheduler(ZERO_OVERHEAD), sem_scheme="standard")
-        k.create_semaphore("S")
-        k.create_thread(
-            "holder", Program([Acquire("S"), Compute(ms(5)), Release("S")]),
-            period=ms(100), deadline=ms(90),
-        )
-        k.create_thread(
-            "waiter", Program([Acquire("S"), Release("S")]),
-            period=ms(100), deadline=ms(50), phase=us(100),
-        )
-        k.run_until(ms(1))  # waiter is queued on S
-        assert k.threads["waiter"] in k.semaphores["S"].waiters
-        k.kill_thread("waiter")
-        assert k.threads["waiter"] not in k.semaphores["S"].waiters
-        trace = k.run_until(ms(20))
-        # The holder finishes normally.
-        assert trace.jobs_of("holder")[0].completion is not None
-
-    def test_killed_parked_thread_removed(self):
-        """EMERALDS scheme: the hint check parks the waiter; killing it
-        must purge the parked list too."""
-        k = zero_kernel()
-        k.create_semaphore("S")
-        k.create_thread(
-            "holder", Program([Acquire("S"), Compute(ms(5)), Release("S")]),
-            period=ms(100), deadline=ms(90),
-        )
-        k.create_thread(
-            "waiter", Program([Acquire("S"), Release("S")]),
-            period=ms(100), deadline=ms(50), phase=us(100),
-        )
+    @pytest.mark.parametrize(
+        "case, label",
+        [
+            pytest.param(case, label, id=case)
+            for case, label in (
+                ("sem-queue", "sem:S"),
+                ("hint-park", "sem-parked:S"),
+                ("registry-freeze", "sem-registry:S"),
+                ("event", "event:E"),
+                ("mbox-recv", "mbox-recv:MB"),
+                ("mbox-send-full", "mbox-send:MB"),
+                ("cv", "cv:cv"),
+                ("cv-moved-to-mutex", "sem:S"),
+            )
+        ],
+    )
+    def test_killed_waiter_leaves_its_wait(self, case, label):
+        """A lock-free thread killed in any kind of wait leaves every
+        kernel list, ends every donation it made, and strands nobody."""
+        k = _waiting_victim(case)
         k.run_until(ms(1))
-        sem = k.semaphores["S"]
-        assert k.threads["waiter"] in sem.parked
-        k.kill_thread("waiter")
-        assert k.threads["waiter"] not in sem.parked
+        victim = k.threads["victim"]
+        assert victim.blocked_on == label
+        k.kill_thread("victim")
+        assert victim.blocked_on == "dead"
+        assert not any(victim in queue for queue in _wait_queues(k))
+        for thread in k.threads.values():
+            donors = [
+                donor
+                for sem in thread.held_sems
+                for donor in k.semaphores[sem].donor_threads()
+            ]
+            assert not any(donor.dead for donor in donors)
+            if not donors:
+                assert (thread.effective_key, thread.pi_deadline, thread.pi_donor_of) == (
+                    thread.base_key, None, None
+                )
         trace = k.run_until(ms(20))
-        assert trace.jobs_of("holder")[0].completion is not None
+        for name in k.threads:
+            if name != "victim":
+                assert trace.jobs_of(name)[0].completion is not None
 
     def test_kill_running_thread_mid_compute(self):
         k = zero_kernel()
