@@ -26,7 +26,7 @@ from repro.kernel.program import (
     StateWrite,
     Wait,
 )
-from repro.kernel.thread import Thread, ThreadState
+from repro.kernel.thread import Thread
 
 __all__ = [
     "Acquire",
@@ -58,7 +58,6 @@ __all__ = [
     "StateRead",
     "StateWrite",
     "Thread",
-    "ThreadState",
     "Timer",
     "Wait",
     "kernel_footprint",

@@ -48,7 +48,7 @@ from repro.kernel.kevent import KernelEvent
 from repro.kernel.memory import ProtectionFault
 from repro.kernel.process import AddressSpaceAllocator, Process
 from repro.kernel.program import Program
-from repro.kernel.thread import Thread, ThreadState
+from repro.kernel.thread import Thread
 from repro.sim.engine import EventQueue, ScheduledEvent, VirtualClock
 from repro.sim.trace import IDLE, KERNEL, Trace
 from repro.sync.condvar import ConditionVariable
@@ -57,16 +57,6 @@ from repro.sync.parser import held_across_blocking, insert_hints
 from repro.sync.semaphore import LOCK_WAITS, StandardSemaphore
 
 __all__ = ["Kernel", "KernelError"]
-
-# Thread states bound once.  ``EnumType.__getattr__`` puts every
-# class-level Enum member read on CPython 3.10 and 3.11 on the slow
-# attribute-hook path, about 5x a plain class attribute and over 10x
-# a global, and the per-job path makes several (3.12 dropped the hook).
-STATE_IDLE = ThreadState.IDLE
-STATE_READY = ThreadState.READY
-STATE_RUNNING = ThreadState.RUNNING
-STATE_BLOCKED = ThreadState.BLOCKED
-
 
 #: Per wait kind, the queue attribute of the object waited on and how to
 #: take a thread off it (condvar waiters map to the mutex they re-take).
@@ -407,9 +397,8 @@ class Kernel:
     def block_thread(self, thread: Thread, kind: str, on=None) -> None:
         """Block a thread in a ``kind`` wait on ``on``, charging ``t_b``
         (Section 5.1)."""
-        if thread.state == STATE_BLOCKED:
+        if thread.wait_kind is not None:
             raise KernelError(f"{thread.name} is already blocked")
-        thread.state = STATE_BLOCKED
         thread.wait_kind = kind
         thread.wait_on = on
         cost = self.scheduler.on_block(thread)
@@ -433,17 +422,17 @@ class Kernel:
             obs.on_block(thread.name, sem.name, self.clock.now)
 
     def unblock_thread(self, thread: Thread) -> None:
-        """Make a blocked thread ready, charging ``t_u`` and ``t_s``."""
-        if thread.dead:
+        """Make a waiting thread ready, charging ``t_u`` and ``t_s``."""
+        kind = thread.wait_kind
+        if kind == "dead":
             return
-        if thread.state != STATE_BLOCKED and thread.state != STATE_IDLE:
+        if kind is None:
             raise KernelError(f"{thread.name} is not blocked")
         if thread.suspended:
             # Deferred wake-up: the thread becomes runnable at resume.
             thread.wait_kind = "suspended"
             thread.wait_on = None
             return
-        thread.state = STATE_READY
         thread.wait_kind = None
         thread.wait_on = None
         cost = self.scheduler.on_unblock(thread)
@@ -500,12 +489,8 @@ class Kernel:
             self.trace.note(self.now, "sporadic-rejected", thread.name)
             return False
         thread.last_activation = self.now
-        if thread.state == STATE_IDLE:
-            thread.start_job(self.now)
-            record = self.trace.job_released(
-                thread.name, self.now, thread.abs_deadline, thread.job_no
-            )
-            self._arm_deadline_check(thread, record)
+        if thread.wait_kind == "activation":
+            self._start_job(thread, self.now)
             self.deliver_unblock(thread)
         else:
             thread.pending_releases += 1
@@ -528,7 +513,7 @@ class Kernel:
         if thread.suspended:
             raise KernelError(f"{name} is already suspended")
         thread.suspended = True
-        if thread.state in (STATE_READY, STATE_RUNNING):
+        if thread.wait_kind is None:
             self.block_thread(thread, "suspended")
             self.trace.note(self.now, "suspend", name)
             self._dispatch_if_needed()
@@ -563,14 +548,12 @@ class Kernel:
             raise KernelError(
                 f"cannot kill {name}: it holds {sorted(thread.held_sems)}"
             )
-        thread.dead = True
         self._detach_from_waits(thread)
         if thread.release_event is not None:
             thread.release_event.cancel()
         if thread.ready:
             self.scheduler.on_block(thread)
         self.scheduler.remove_task(thread)
-        thread.state = STATE_BLOCKED
         thread.wait_kind = "dead"
         thread.wait_on = None
         self.trace.note(self.now, "kill", name)
@@ -580,15 +563,18 @@ class Kernel:
         self._dispatch_if_needed()
 
     def _detach_from_waits(self, thread: Thread) -> None:
-        """Take a thread off the one queue its wait record names, and off
-        any Section 6.3.1 registry (a woken thread can be on one without
-        waiting).  A lock waiter no longer donates, so every holder down
-        the chain from its semaphore re-derives its priority."""
+        """Take a thread off the one queue its wait record names (a
+        sleeper's wake event is cancelled), and off any Section 6.3.1
+        registry (a woken thread can be on one without waiting).  A lock
+        waiter no longer donates, so every holder down the chain from
+        its semaphore re-derives its priority."""
         kind = thread.wait_kind
+        on = thread.wait_on
+        if kind == "sleep":
+            on.cancel()
         queue = _WAIT_QUEUES.get(kind)
         if queue is not None:
             attr, unqueue = queue
-            on = thread.wait_on
             unqueue(getattr(on, attr), thread)
             if kind in LOCK_WAITS:
                 on._disinherit_chain(self)
@@ -684,19 +670,18 @@ class Kernel:
             return
         self.trace.note(self.now, "crash", f"{name}: {reason}")
         self._release_held(thread)
-        if (
-            thread.max_restarts is not None
-            and thread.restart_count < thread.max_restarts
-        ):
-            self._restart_thread(thread)
-        else:
-            if thread.max_restarts is not None:
-                self.trace.note(self.now, "restart-exhausted", name)
-            self.kill_thread(name)
+        self._restart_or_kill(thread)
 
-    def _restart_thread(self, thread: Thread) -> None:
-        """Bounded restart: drop the in-flight job and backlog, then
-        rejoin the release stream after an exponential back-off."""
+    def _restart_or_kill(self, thread: Thread) -> None:
+        """Bounded restart of a crashed thread: drop the in-flight job
+        and backlog, then rejoin the release stream after an exponential
+        back-off; once no restart is left, kill it."""
+        limit = thread.max_restarts
+        if limit is None or thread.restart_count >= limit:
+            if limit is not None:
+                self.trace.note(self.now, "restart-exhausted", thread.name)
+            self.kill_thread(thread.name)
+            return
         thread.restart_count += 1
         backoff = thread.restart_backoff_ns * (2 ** (thread.restart_count - 1))
         self.trace.job_aborted(thread.name, thread.job_no, self.now)
@@ -704,8 +689,7 @@ class Kernel:
         if thread.ready:
             cost = self.scheduler.on_block(thread)
             self.charge(cost, "sched")
-        thread.state = STATE_IDLE
-        thread.wait_kind = None
+        thread.wait_kind = "period" if thread.spec is not None else "activation"
         thread.wait_on = None
         thread.pending_releases = 0
         thread.abs_deadline = None
@@ -747,15 +731,7 @@ class Kernel:
         if action == "kill":
             self.kill_thread(thread.name)
         elif action == "restart":
-            if (
-                thread.max_restarts is not None
-                and thread.restart_count < thread.max_restarts
-            ):
-                self._restart_thread(thread)
-            else:
-                if thread.max_restarts is not None:
-                    self.trace.note(self.now, "restart-exhausted", thread.name)
-                self.kill_thread(thread.name)
+            self._restart_or_kill(thread)
         else:  # suspend_job
             self._abort_job(thread)
             self._dispatch_if_needed()
@@ -786,7 +762,7 @@ class Kernel:
 
     def _on_release(self, thread: Thread) -> None:
         assert thread.spec is not None
-        if thread.dead:
+        if thread.wait_kind == "dead":
             return
         nominal = thread.release_nominal
         self._schedule_release(
@@ -802,13 +778,8 @@ class Kernel:
         ):
             self.trace.note(self.clock.now, "release-shed", thread.name)
             return
-        if thread.state == STATE_IDLE:
-            thread.start_job(nominal)
-            record = self.trace.job_released(
-                thread.name, nominal, thread.abs_deadline, thread.job_no
-            )
-            if self._miss_handlers or self.stop_on_deadline_miss:
-                self._arm_deadline_check(thread, record)
+        if thread.wait_kind == "period":
+            self._start_job(thread, nominal)
             hint = thread.period_hint
             if hint is not None or thread.suspended:
                 thread.pending_hint = hint
@@ -817,10 +788,9 @@ class Kernel:
             # Common case (no parser hint, not suspended) inlined:
             # deliver_unblock -> unblock_thread -> on_unblock -> charge
             # is four frames deep, and periodic releases pay it on
-            # every job.  Must mirror those methods exactly (an idle
-            # thread's wait record names no object).
+            # every job.  Must mirror those methods exactly (a thread
+            # between jobs has a wait record that names no object).
             thread.pending_hint = None
-            thread.state = STATE_READY
             thread.wait_kind = None
             sched = self.scheduler
             cost = sched._unblock(thread)
@@ -843,18 +813,37 @@ class Kernel:
             if self.stop_on_deadline_miss:
                 self._stop = True
 
+    def _start_job(self, thread: Thread, release: int) -> None:
+        """Start the thread's next job, released at ``release``: reset
+        its program state, open the job's record and arm its deadline
+        check.  Every job starts here; the TCB fields are reset inline,
+        because this runs once per job."""
+        thread.job_no += 1
+        thread.release_time = release
+        thread.pc = 0
+        thread.remaining = 0
+        thread.op_started = False
+        thread.read_token = None
+        thread.job_exec_ns = 0
+        thread.budget_fired = False
+        relative = thread.relative_deadline
+        deadline = None if relative is None else release + relative
+        thread.abs_deadline = deadline
+        thread.rank_cache = None
+        record = self.trace.job_released(thread.name, release, deadline, thread.job_no)
+        if self._miss_handlers or self.stop_on_deadline_miss:
+            self._arm_deadline_check(thread, record)
+
     def _arm_deadline_check(self, thread: Thread, record) -> None:
         """Schedule a check *at the deadline instant* of the job just
         released.  At that instant an incomplete job is a miss: the
         trace gets a ``deadline-miss-detected`` note, the registered
         handler (if any) fires, and ``stop_on_deadline_miss`` aborts
         the run -- detection happens on the timeline, not post-hoc."""
-        if not self._miss_handlers and not self.stop_on_deadline_miss:
-            return
         handler = self._miss_handlers.get(thread.name)
-        if record.deadline is None:
-            return
-        if handler is None and not self.stop_on_deadline_miss:
+        if record.deadline is None or (
+            handler is None and not self.stop_on_deadline_miss
+        ):
             return
         job = thread.job_no
 
@@ -894,14 +883,8 @@ class Kernel:
                 nominal = thread.release_time + thread.spec.period
             else:
                 nominal = self.now
-            thread.start_job(nominal)
-            record = self.trace.job_released(
-                thread.name, nominal, thread.abs_deadline, thread.job_no
-            )
-            if self._miss_handlers or self.stop_on_deadline_miss:
-                self._arm_deadline_check(thread, record)
+            self._start_job(thread, nominal)
             return  # stays ready; next job starts immediately
-        thread.state = STATE_BLOCKED
         # The thread ran, so its record names no object.
         thread.wait_kind = "period" if thread.spec is not None else "activation"
         thread.abs_deadline = None
@@ -921,7 +904,6 @@ class Kernel:
             kernel_time["sched"] = kernel_time.get("sched", 0) + cost
             if trace.record_segments:
                 trace.add_segment(start, start + cost, KERNEL)
-        thread.state = STATE_IDLE
         thread.pending_hint = thread.period_hint
         self._need_resched = True
 
@@ -966,11 +948,8 @@ class Kernel:
             )
             if trace.record_segments:
                 trace.add_segment(start, start + cs, KERNEL)
-        preempted = old is not None and old.state == STATE_RUNNING
-        if preempted:
-            old.state = STATE_READY
-        if new is not None:
-            new.state = STATE_RUNNING
+        # The switched-out thread was preempted when it waits for nothing.
+        preempted = old is not None and old.wait_kind is None
         self.running = new
         self.trace.context_switch(
             self.clock.now, old.name if old else None, new.name if new else None
@@ -1243,11 +1222,12 @@ class Kernel:
     def _op_sleep(self, thread: Thread, op) -> None:
         self._charge_syscall()
         thread.pending_hint = op.hint
-        wake_at = self.now + op.duration
-        self.schedule_event(
-            wake_at, lambda: self.deliver_unblock(thread), f"wake:{thread.name}"
+        wake = self.schedule_event(
+            self.now + op.duration,
+            partial(self.deliver_unblock, thread),
+            f"wake:{thread.name}",
         )
-        self.block_thread(thread, "sleep")
+        self.block_thread(thread, "sleep", wake)
         self._finish_op(thread)
 
     def _op_call(self, thread: Thread, op) -> None:

@@ -8,15 +8,14 @@ thread) and run their program once per activation.
 
 The TCB inherits the scheduler-facing fields from
 :class:`~repro.core.queues.Schedulable` (ready flag, priority keys,
-deadlines) and adds program state, blocking state, and the Section 6
-semaphore bookkeeping (held semaphores, the parser-inserted hint of
-the blocking call the thread is currently suspended in, registry
-membership).
+deadlines) and adds program state, the wait record that is the
+thread's whole lifecycle (DESIGN "Thread wait state"), and the
+Section 6 semaphore bookkeeping (held semaphores, the parser-inserted
+hint of the blocking call the thread is currently suspended in).
 """
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.queues import Schedulable
@@ -27,20 +26,7 @@ if TYPE_CHECKING:
     from repro.kernel.process import Process
     from repro.sim.engine import ScheduledEvent
 
-__all__ = ["Thread", "ThreadState"]
-
-
-class ThreadState(enum.Enum):
-    """Life-cycle states of a thread."""
-
-    #: Created, waiting for its first release/activation.
-    IDLE = "idle"
-    #: Runnable (on its scheduler queue, ready flag set).
-    READY = "ready"
-    #: Currently executing on the (single) CPU.
-    RUNNING = "running"
-    #: Blocked in a system call (semaphore, event, mailbox, sleep...).
-    BLOCKED = "blocked"
+__all__ = ["Thread"]
 
 
 class Thread(Schedulable):
@@ -72,7 +58,6 @@ class Thread(Schedulable):
         "release_event",
         "release_nominal",
         "process",
-        "state",
         "pc",
         "remaining",
         "job_no",
@@ -92,7 +77,6 @@ class Thread(Schedulable):
         "read_token",
         "period_hint",
         "suspended",
-        "dead",
         "min_interarrival",
         "last_activation",
         "criticality",
@@ -147,7 +131,6 @@ class Thread(Schedulable):
         self.process = process
         if process is not None:
             process.threads.append(self)
-        self.state = ThreadState.IDLE
         #: Program counter into ``program.ops``.
         self.pc = 0
         #: Remaining nanoseconds of the current Compute op.
@@ -164,10 +147,12 @@ class Thread(Schedulable):
             self.relative_deadline = spec.deadline
         else:
             self.relative_deadline = None
-        #: The wait record, written only by the kernel: the kind of wait
-        #: ("sem", "event", "period", ...) and the semaphore, event,
-        #: mailbox or condvar waited on, for the kinds that have one.
-        self.wait_kind: Optional[str] = None
+        #: The wait record, the thread's whole lifecycle, written only
+        #: by the kernel: the kind of wait and the object waited on, for
+        #: the kinds that have one.  ``None`` is runnable; ``period`` or
+        #: ``activation`` is between jobs (where a thread starts);
+        #: ``dead`` is killed; any other kind is blocked inside a job.
+        self.wait_kind: Optional[str] = "period" if spec is not None else "activation"
         self.wait_on: Optional[object] = None
         #: Semaphore hint carried by the blocking call the thread is
         #: suspended in (inserted by the code parser, Section 6.2.1).
@@ -198,8 +183,6 @@ class Thread(Schedulable):
         #: Suspended by ``Kernel.suspend_thread``; wake-ups are
         #: deferred until resume.
         self.suspended = False
-        #: Killed by ``Kernel.kill_thread``; never scheduled again.
-        self.dead = False
         #: Sporadic minimum inter-arrival time for aperiodic threads
         #: (ns); activations arriving sooner are rejected.
         self.min_interarrival: Optional[int] = None
@@ -232,9 +215,16 @@ class Thread(Schedulable):
 
     @property
     def blocked_on(self) -> Optional[str]:
-        """The wait record as a label (``"sem:mtx"``, ``"period"``, ...)."""
+        """The wait record as a label (``"sem:mtx"``, ``"period"``, ...);
+        a sleep's object, its wake event, has no name in the label."""
+        kind = self.wait_kind
         on = self.wait_on
-        return self.wait_kind if on is None else f"{self.wait_kind}:{on.name}"
+        return kind if on is None or kind == "sleep" else f"{kind}:{on.name}"
+
+    @property
+    def dead(self) -> bool:
+        """Killed by ``Kernel.kill_thread``; never scheduled again."""
+        return self.wait_kind == "dead"
 
     @property
     def periodic(self) -> bool:
@@ -244,24 +234,8 @@ class Thread(Schedulable):
     def period(self) -> Optional[int]:
         return self.spec.period if self.spec is not None else None
 
-    def start_job(self, release_time: int) -> None:
-        """Reset program state for a new activation."""
-        self.job_no += 1
-        self.release_time = release_time
-        self.pc = 0
-        self.remaining = 0
-        self.op_started = False
-        self.read_token = None
-        self.job_exec_ns = 0
-        self.budget_fired = False
-        if self.relative_deadline is not None:
-            self.abs_deadline = release_time + self.relative_deadline
-        else:
-            self.abs_deadline = None
-        self.rank_cache = None
-
     def __repr__(self) -> str:
         return (
-            f"<Thread {self.name} {self.state.value} pc={self.pc} "
+            f"<Thread {self.name} {self.blocked_on or 'runnable'} pc={self.pc} "
             f"job={self.job_no}>"
         )

@@ -10,11 +10,13 @@ paper's correctness arguments rest on:
   (Section 6.2.3's argument that only execution chunks are swapped);
 * priority inheritance is always undone (no priority leaks);
 * the FP queue's structural invariants survive arbitrary PI traffic;
-* job accounting is conserved (releases = completions + in-flight);
+* job accounting is exact: every open job record belongs to a thread
+  inside a job, one record per such thread;
 * kernel time is conserved: the segments tile the run and every
   derived count agrees with its one record.
 """
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -27,7 +29,6 @@ from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.rm import RMScheduler
 from repro.kernel.kernel import Kernel
 from repro.kernel.program import Acquire, Compute, Program, Release, Signal, Wait
-from repro.kernel.thread import ThreadState
 from repro.obs.collector import ObsCollector
 from repro.sim.trace import IDLE, KERNEL
 from repro.timeunits import ms, us
@@ -152,19 +153,20 @@ def test_fp_queue_invariants_survive(app, scheme):
 @settings(max_examples=40, deadline=None)
 @given(applications(), st.sampled_from(["standard", "emeralds"]))
 def test_job_accounting_conserved(app, scheme):
+    """A thread between jobs (``period``) has closed its last record; a
+    thread in any other wait, or runnable, is inside exactly one job.
+    A release that finds its thread inside a job only queues."""
     kernel = build(app, scheme, EDFScheduler, OverheadModel())
     trace = kernel.run_until(ms(100))
-    released = len(trace.jobs)
-    completed = sum(1 for j in trace.jobs if j.completion is not None)
-    in_flight = sum(
-        1
+    open_records = Counter(
+        j.thread for j in trace.jobs if j.completion is None and not j.aborted
+    )
+    inside_a_job = Counter(
+        t.name
         for t in kernel.threads.values()
-        if t.state != ThreadState.IDLE or t.pending_releases
+        if t.wait_kind not in ("period", "activation")
     )
-    assert completed <= released
-    assert released - completed <= len(kernel.threads) + sum(
-        t.pending_releases for t in kernel.threads.values()
-    )
+    assert open_records == inside_a_job
 
 
 @settings(max_examples=30, deadline=None)

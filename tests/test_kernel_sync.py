@@ -286,6 +286,33 @@ class TestPriorityInheritance:
         assert low.pi_deadline is None
 
 
+@pytest.mark.parametrize("scheduler", [RMScheduler, EDFScheduler], ids=["rm", "edf"])
+@pytest.mark.parametrize("scheme", ["standard", "emeralds"])
+def test_release_while_waiting_for_the_lock_is_an_overrun(scheme, scheduler):
+    """A release that finds its thread still waiting for a lock in its
+    last job (queued on it, or parked on it at that job's release by the
+    hint check) queues behind that job; it starts no second job."""
+    k = Kernel(scheduler(ZERO_OVERHEAD), sem_scheme=scheme)
+    k.create_semaphore("S")
+    k.create_thread(
+        "holder", Program([Acquire("S"), Compute(ms(30)), Release("S")]), period=ms(100)
+    )
+    k.create_thread(
+        "parker", Program([Acquire("S"), Release("S")]), period=ms(10), phase=us(100)
+    )
+    k.run_until(ms(25))
+    parker = k.threads["parker"]
+    assert parker.blocked_on in ("sem:S", "sem-parked:S")
+    assert parker.pending_releases == 2
+    assert getattr(k.semaphores["S"], "parked", []).count(parker) <= 1
+    trace = k.run_until(ms(40))
+    assert [job.completion for job in trace.jobs_of("parker")[:4]] == [
+        ms(30), ms(30), ms(30), ms(30) + us(100)
+    ]
+    overruns = [t for t, kind, _ in trace.events if kind == "release-overrun"]
+    assert overruns == [ms(10) + us(100), ms(20) + us(100)]
+
+
 class TestEmeraldsScheme:
     def build_fig8(self, scheme, **sem_flags):
         """The Figure 6/8 scenario.

@@ -92,8 +92,6 @@ class TestTransientOverload:
     def test_pending_releases_drain_after_burst(self):
         """An aperiodic burst queues activations (none lost); after the
         burst the backlog drains and the thread is idle again."""
-        from repro.kernel.thread import ThreadState
-
         k = Kernel(EDFScheduler(ZERO_OVERHEAD))
         k.create_thread("worker", Program([Compute(ms(2))]), priority=1)
         for i in range(5):
@@ -101,7 +99,7 @@ class TestTransientOverload:
         trace = k.run_until(ms(100))
         assert len(trace.jobs_of("worker")) == 5
         assert all(j.completion is not None for j in trace.jobs_of("worker"))
-        assert k.threads["worker"].state == ThreadState.IDLE
+        assert k.threads["worker"].blocked_on == "activation"
         assert k.threads["worker"].pending_releases == 0
 
     def test_periodic_task_recovers_after_transient(self):

@@ -13,13 +13,10 @@ import ast
 import collections
 import json
 import pathlib
-import types
 
 import pytest
 
 from repro.core.overhead import OverheadModel
-from repro.kernel.kernel import Kernel
-from repro.kernel.thread import Thread
 from repro.perf.counters import PerfReport, collect_report, merge_reports
 from repro.perf.profiler import profile_call
 from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
@@ -278,48 +275,8 @@ def test_zero_wall_time_throughput_is_zero():
 
 
 # ----------------------------------------------------------------------
-# hot-path guards
+# source guards
 # ----------------------------------------------------------------------
-def _code_objects(code):
-    """``code`` and every code object nested in it (closures, lambdas,
-    comprehensions)."""
-    yield code
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            yield from _code_objects(const)
-
-
-def _kernel_code_objects():
-    for attr in vars(Kernel).values():
-        if isinstance(attr, property):
-            functions = (attr.fget, attr.fset, attr.fdel)
-        else:
-            functions = (getattr(attr, "__func__", attr),)
-        for fn in functions:
-            code = getattr(fn, "__code__", None)
-            if code is not None:
-                yield from _code_objects(code)
-
-
-def test_kernel_reads_no_thread_state_through_its_class():
-    """``EnumType.__getattr__`` puts a class-level Enum member read on
-    CPython 3.10 and 3.11 on the slow attribute-hook path (about 5x a
-    plain class attribute), and the per-job path made several per job.
-    ``kernel.py`` binds the four states once at module level; no kernel
-    function may name ``ThreadState`` again."""
-    # The walk sees a class-level read where there is one.
-    assert any(
-        "ThreadState" in code.co_names
-        for code in _code_objects(Thread.__init__.__code__)
-    )
-    offenders = sorted(
-        getattr(code, "co_qualname", code.co_name)
-        for code in _kernel_code_objects()
-        if "ThreadState" in code.co_names
-    )
-    assert offenders == []
-
-
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 
 

@@ -15,6 +15,7 @@ from repro.kernel.program import (
     Recv,
     Release,
     Send,
+    Sleep,
     Wait,
 )
 from repro.timeunits import ms, us
@@ -74,6 +75,7 @@ def _waiting_victim(case):
         "event": [Wait("E")],
         "mbox-recv": [Recv("MB")],
         "mbox-send-full": [Send("MB"), Send("MB")],
+        "sleep": [Sleep(ms(5)), Acquire("S"), Release("S")],
     }[case]
     k.create_thread("victim", Program(victim), period=ms(50))
     k.create_thread("other", Program([Compute(ms(2))]), period=ms(100))
@@ -155,6 +157,26 @@ class TestSuspendResume:
         with pytest.raises(KernelError):
             k.suspend_thread("t")
 
+    def test_releases_while_suspended_between_jobs_are_deferred(self):
+        """A thread suspended between jobs takes the job of its next
+        release into the suspension; the releases after it queue behind
+        that job and open no record until it completes."""
+        k = zero_kernel()
+        k.create_thread("t", Program([Compute(ms(1))]), period=ms(5))
+        k.run_until(ms(2))
+        k.suspend_thread("t")
+        k.run_until(ms(21))
+        overruns = [t for t, kind, _ in k.trace.events if kind == "release-overrun"]
+        assert overruns == [ms(10), ms(15), ms(20)]
+        assert k.threads["t"].pending_releases == 3
+        k.resume_thread("t")
+        trace = k.run_until(ms(40))
+        completion = {job.release: job.completion for job in trace.jobs_of("t")}
+        assert [completion[ms(release)] for release in (5, 10, 15, 20)] == [
+            ms(22), ms(23), ms(24), ms(25)
+        ]
+        assert all(job.completion is not None for job in trace.jobs_of("t"))
+
     def test_resume_unsuspended_rejected(self):
         k = zero_kernel()
         k.create_thread("t", Program([Compute(ms(1))]), period=ms(5))
@@ -201,6 +223,7 @@ class TestKill:
                 ("mbox-send-full", "mbox-send:MB"),
                 ("cv", "cv:cv"),
                 ("cv-moved-to-mutex", "sem:S"),
+                ("sleep", "sleep"),
             )
         ],
     )
@@ -211,7 +234,10 @@ class TestKill:
         k.run_until(ms(1))
         victim = k.threads["victim"]
         assert victim.blocked_on == label
+        live_events = len(k.events)
         k.kill_thread("victim")
+        # The kill cancels the pending release and, for a sleeper, its wake.
+        assert len(k.events) == live_events - (2 if case == "sleep" else 1)
         assert victim.blocked_on == "dead"
         assert not any(victim in queue for queue in _wait_queues(k))
         for thread in k.threads.values():
@@ -229,6 +255,43 @@ class TestKill:
         for name in k.threads:
             if name != "victim":
                 assert trace.jobs_of(name)[0].completion is not None
+
+    def test_killed_sleeper_is_not_parked_at_its_wake(self):
+        """A thread killed in a Sleep whose hint names a semaphore that
+        is locked at the wake instant neither parks on it nor boosts its
+        holder: the kill cancelled the wake."""
+        k = Kernel(RMScheduler(ZERO_OVERHEAD), sem_scheme="emeralds")
+        k.create_semaphore("S")
+        k.create_thread(
+            "holder", Program([Acquire("S"), Compute(ms(5)), Release("S")]),
+            period=ms(100),
+        )
+        k.create_thread(
+            "victim", Program([Sleep(ms(1)), Acquire("S"), Release("S")]), period=ms(50)
+        )
+        k.run_until(us(500))
+        k.kill_thread("victim")
+        k.run_until(us(1500))
+        holder = k.threads["holder"]
+        assert holder.effective_key == holder.base_key
+        assert k.semaphores["S"].parked == []
+
+    def test_restart_cancels_a_pending_wake(self):
+        """A thread restarted in a Sleep waits for its next release; the
+        wake of its aborted job does not run the rest of that job."""
+        k = zero_kernel()
+        k.create_thread(
+            "victim", Program([Sleep(ms(1)), Compute(us(100))]), period=ms(10)
+        )
+        k.set_restart_policy("victim", max_restarts=1)
+        k.run_until(us(500))
+        assert len(k.events) == 2  # the wake and the next release
+        k.crash_thread("victim")
+        assert len(k.events) == 1
+        k.run_until(us(1050))
+        victim = k.threads["victim"]
+        assert k.running is not victim
+        assert victim.blocked_on == "period"
 
     def test_kill_running_thread_mid_compute(self):
         k = zero_kernel()

@@ -31,7 +31,6 @@ from repro.kernel.program import (
     StateWrite,
     Wait,
 )
-from repro.kernel.thread import ThreadState
 from repro.timeunits import ms, seconds, us
 
 
@@ -109,11 +108,31 @@ def build_torture_kernel(seed=0, threads=24):
     return kernel
 
 
+#: Every kind a thread's wait record can hold (DESIGN "Thread wait state").
+WAIT_KINDS = {
+    "sem", "sem-parked", "sem-registry", "event", "mbox-recv", "mbox-send", "cv",
+    "sleep", "period", "activation", "suspended", "dead",
+}
+
+
+def assert_lifecycle_consistent(kernel):
+    """The wait record is the lifecycle: a known kind or ``None``, a
+    live thread is on the ready queue exactly when it waits for nothing,
+    and the running thread waits for nothing."""
+    for thread in kernel.threads.values():
+        assert thread.wait_kind is None or thread.wait_kind in WAIT_KINDS
+        if not thread.dead:
+            assert thread.ready == (thread.wait_kind is None), thread
+    assert kernel.running is None or kernel.running.wait_kind is None
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_torture_run_stays_consistent(seed):
     kernel = build_torture_kernel(seed=seed)
     population = len(kernel.scheduler.tasks())
-    kernel.run_until(seconds(2))
+    for until in range(ms(5), seconds(2) + 1, ms(5)):
+        kernel.run_until(until)
+        assert_lifecycle_consistent(kernel)
 
     # Scheduler population conserved.
     assert len(kernel.scheduler.tasks()) == population
@@ -129,13 +148,8 @@ def test_torture_run_stays_consistent(seed):
         assert not sem.waiters
 
     # No thread stranded in an impossible state.
+    assert_lifecycle_consistent(kernel)
     for thread in kernel.threads.values():
-        assert thread.state in (
-            ThreadState.IDLE,
-            ThreadState.READY,
-            ThreadState.RUNNING,
-            ThreadState.BLOCKED,
-        )
         assert thread.effective_key == thread.base_key or thread.held_sems
 
     # Lots of work actually happened.
