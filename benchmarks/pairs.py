@@ -14,14 +14,20 @@ discarded.  Then, per pair, both workers time one round each, the side
 that goes first alternating from pair to pair, and both sides' operation
 digests must agree.  The output is the median per-round time ratio
 (base/change, so above 1 means the change is faster), its quartiles and
-the pairs the change won; then each side's median round time, its
-quartiles and its quartile distance as a fraction of the median (see
-:func:`spread`).
+the pairs the change won; then each side's Python and C calls in one
+untimed round (:func:`work_line`), a count the host cannot move; then
+each side's median round time, its quartiles and its quartile distance
+as a fraction of the median (see :func:`spread`).  Both sides are
+counted by this tree's ``repro/perf/workcount.py``, loaded by file
+path, so an older checkout needs no counter of its own.  The count
+covers the worker process only: fault-sweep's forked sweep points run
+uncounted.
 
 Make the base checkout with ``git archive <commit> | tar -x -C DIR``;
 run 10-20 pairs at seeds no earlier comparison used.
 """
 
+import importlib.util
 import json
 import os
 import statistics
@@ -29,6 +35,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+WORKCOUNT = os.path.join(HERE, os.pardir, "src", "repro", "perf", "workcount.py")
 
 USAGE = "usage: pairs.py BASE_ROOT CHANGE_ROOT WORKLOAD SEED PAIRS"
 
@@ -47,12 +54,26 @@ def spread(times):
     return median, q1, q3, (q3 - q1) / median
 
 
+def work_line(base_calls: int, change_calls: int) -> str:
+    """Each side's calls in one untimed round, and their ratio
+    (base/change, so above 1 means the change does less work)."""
+    return (
+        f"calls per round: base {base_calls:,}, change {change_calls:,}, "
+        f"ratio (base/change) {base_calls / change_calls:.3f}"
+    )
+
+
 def worker(root: str, name: str, seed: str) -> None:
-    """Serve timed rounds of workload ``name`` from checkout ``root``:
-    one JSON line ``{"run_s", "ops"}`` per line read from stdin."""
+    """Serve rounds of workload ``name`` from checkout ``root``: per
+    line read from stdin, one JSON line ``{"run_s", "ops"}`` of a timed
+    round, or ``{"calls", "ops"}`` of a counted one for a ``count``
+    line."""
     import gc
     import time
 
+    spec = importlib.util.spec_from_file_location("workcount", WORKCOUNT)
+    workcount = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workcount)
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "simbench"), os.path.join(root, "src")]
     import repro
@@ -63,9 +84,13 @@ def worker(root: str, name: str, seed: str) -> None:
     from workloads import WORKLOADS
 
     workload = WORKLOADS[name]()
-    for _ in sys.stdin:
+    for line in sys.stdin:
         gc.collect()
         prepared = workload.setup(int(seed))
+        if line.strip() == "count":
+            out, calls = workcount.count_calls(workload.run, prepared, NullProbe)
+            print(json.dumps({"calls": calls, "ops": workload.check(out).ops}), flush=True)
+            continue
         gc.collect()
         gc.disable()
         start = time.perf_counter()
@@ -89,8 +114,8 @@ def _start(root: str, name: str, seed: int) -> subprocess.Popen:
     )
 
 
-def _round(proc: subprocess.Popen) -> dict:
-    proc.stdin.write("\n")
+def _round(proc: subprocess.Popen, request: str = "") -> dict:
+    proc.stdin.write(request + "\n")
     proc.stdin.flush()
     line = proc.stdout.readline()
     if not line:
@@ -114,6 +139,9 @@ def main(argv) -> int:
     try:
         for proc in sides.values():
             _round(proc)  # warm-up, discarded
+        counted = {side: _round(proc, "count") for side, proc in sides.items()}
+        if counted["base"]["ops"] != counted["change"]["ops"]:
+            raise SystemExit("counted round: operation digests differ")
         ratios = []
         times = {"base": [], "change": []}
         for index in range(pairs):
@@ -142,6 +170,7 @@ def main(argv) -> int:
         f"{statistics.median(ratios):.3f}, quartiles {q1:.3f}-{q3:.3f}, "
         f"change won {won}/{len(ratios)}"
     )
+    print(work_line(counted["base"]["calls"], counted["change"]["calls"]))
     for side, run_s in times.items():
         median, q1, q3, distance = spread(run_s)
         print(

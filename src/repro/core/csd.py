@@ -57,10 +57,11 @@ class CSDScheduler(Scheduler):
         # PI bookkeeping: tasks temporarily migrated to a higher queue,
         # mapped to their home queue index.
         self._pi_home: Dict[Schedulable, int] = {}
-        # Per-length charged-cost memos; see EDFScheduler.__init__.
-        self._block_costs: Dict[Tuple[bool, int], int] = {}
-        self._unblock_costs: Dict[Tuple[bool, int], int] = {}
-        self._select_costs: Dict[Tuple[bool, int], int] = {}
+        #: The flat queue-list parse every select pays (Section 5.7).
+        self._parse_ns = (dp_queue_count + 1) * self.model.queue_parse_ns
+        for queue in self.dp_queues:
+            self._price(queue)
+        self._price(self.fp_queue)
 
     # ------------------------------------------------------------------
     # structure
@@ -121,11 +122,14 @@ class CSDScheduler(Scheduler):
                 f"{task.name}: csd_queue {index} out of range for CSD-{self.queue_count}"
             )
         task.csd_queue = index
-        self._queue_at(index).add(task)
+        queue = self._queue_at(index)
+        queue.add(task)
+        self._price(queue)
 
     def remove_task(self, task: Schedulable) -> None:
-        index = self.queue_index_of(task)
-        self._queue_at(index).remove(task)
+        queue = self._queue_at(self.queue_index_of(task))
+        queue.remove(task)
+        self._price(queue)
         self._pi_home.pop(task, None)
 
     def tasks(self) -> List[Schedulable]:
@@ -175,41 +179,36 @@ class CSDScheduler(Scheduler):
     # ------------------------------------------------------------------
     # scheduling primitives (cost cases of Section 5.4 / Table 3)
     # ------------------------------------------------------------------
+    def _price(self, queue) -> None:
+        """DP queues: O(1) ``t_b``/``t_u`` and an O(len) EDF scan; the FP
+        queue: ``t_b`` = O(n - r) to advance ``highestp``, O(1) ``t_u``
+        and ``t_s``.  Each select also pays the queue-list parse."""
+        n = len(queue)
+        model = self.model
+        if queue is self.fp_queue:
+            queue.t_b = model.rm_block(n)
+            queue.t_u = model.rm_unblock(n)
+            queue.t_s = self._parse_ns + model.rm_select(n)
+        else:
+            queue.t_b = model.edf_block(n)
+            queue.t_u = model.edf_unblock(n)
+            queue.t_s = self._parse_ns + model.edf_select(n)
+
     def _block(self, task: Schedulable) -> int:
         # Per-job path: the task's back-pointer names its queue, and
         # the ``in`` (identity compares) only proves the queue is ours.
         queue = task._queue
-        if queue is self.fp_queue:
-            # FP task blocks: t_b = O(n - r), advance highestp.
-            queue.block(task)
-            key = (True, queue._size)
-        elif queue in self.dp_queues:
-            # DP task blocks: t_b = O(1), a TCB flag update.
-            queue.block(task)
-            key = (False, len(queue._tasks))
-        else:
+        if queue is not self.fp_queue and queue not in self.dp_queues:
             raise ValueError(f"{task.name} is not scheduled by this CSD scheduler")
-        cost = self._block_costs.get(key)
-        if cost is None:
-            fn = self.model.rm_block if key[0] else self.model.edf_block
-            cost = self._block_costs[key] = fn(key[1])
-        return cost
+        queue.block(task)
+        return queue.t_b
 
     def _unblock(self, task: Schedulable) -> int:
         queue = task._queue  # as in _block
-        if queue is self.fp_queue:
-            queue.unblock(task)
-            key = (True, queue._size)
-        elif queue in self.dp_queues:
-            queue.unblock(task)
-            key = (False, len(queue._tasks))
-        else:
+        if queue is not self.fp_queue and queue not in self.dp_queues:
             raise ValueError(f"{task.name} is not scheduled by this CSD scheduler")
-        cost = self._unblock_costs.get(key)
-        if cost is None:
-            fn = self.model.rm_unblock if key[0] else self.model.edf_unblock
-            cost = self._unblock_costs[key] = fn(key[1])
-        return cost
+        queue.unblock(task)
+        return queue.t_u
 
     def _select(self) -> Tuple[Optional[Schedulable], int]:
         """Walk the prioritized queue list; parse the first live queue.
@@ -219,23 +218,11 @@ class CSDScheduler(Scheduler):
         EDF scan for a DP queue with ready tasks, or the O(1)
         ``highestp`` dereference for the FP queue.
         """
-        dp_queues = self.dp_queues
-        parse = (len(dp_queues) + 1) * self.model.queue_parse_ns
-        for queue in dp_queues:
+        for queue in self.dp_queues:
             if queue.ready_count > 0:
-                task = queue.select()
-                key = (False, len(queue._tasks))
-                cost = self._select_costs.get(key)
-                if cost is None:
-                    cost = self._select_costs[key] = self.model.edf_select(key[1])
-                return task, parse + cost
-        fp_queue = self.fp_queue
-        task = fp_queue.select()
-        key = (True, fp_queue._size)
-        cost = self._select_costs.get(key)
-        if cost is None:
-            cost = self._select_costs[key] = self.model.rm_select(key[1])
-        return task, parse + cost
+                return queue.select(), queue.t_s
+        queue = self.fp_queue
+        return queue.select(), queue.t_s
 
     # ------------------------------------------------------------------
     # priority inheritance
@@ -272,34 +259,21 @@ class CSDScheduler(Scheduler):
             task.pi_deadline = inherited
             task.pi_key = donor_key
             return self.model.pi_dp_step()
-        # donor_index < holder_index: migrate the holder up.
+        # donor_index < holder_index: migrate the holder up, onto a DP
+        # queue (the FP queue is the last one).
         self._pi_home.setdefault(task, holder_index)
-        self._queue_at(holder_index).remove(task)
-        task.csd_queue = donor_index
-        if donor_index == self.fp_index:
-            task.effective_key = donor.effective_key
-            self.fp_queue.add(task)
-        else:
-            task.pi_deadline = inherited
-            task.pi_key = donor_key
-            self.dp_queues[donor_index].add(task)
-        return self.model.pi_standard_step(
-            max(len(self._queue_at(donor_index)), len(self._queue_at(holder_index)))
-        )
+        task.pi_deadline = inherited
+        task.pi_key = donor_key
+        return self._migrate(task, holder_index, donor_index)
 
     def _restore_priority(self, task: Schedulable) -> int:
         current = self.queue_index_of(task)
         home = self._pi_home.pop(task, current)
         if home != current:
-            self._queue_at(current).remove(task)
-            task.csd_queue = home
             task.pi_deadline = None
             task.pi_key = None
             task.effective_key = task.base_key
-            self._queue_at(home).add(task)
-            return self.model.pi_standard_step(
-                max(len(self._queue_at(home)), len(self._queue_at(current)))
-            )
+            return self._migrate(task, current, home)
         if current == self.fp_index:
             task.effective_key = task.base_key
             self.fp_queue.reposition(task)
@@ -307,6 +281,19 @@ class CSDScheduler(Scheduler):
         task.pi_deadline = None
         task.pi_key = None
         return self.model.pi_dp_step()
+
+    def _migrate(self, task: Schedulable, source: int, target: int) -> int:
+        """Move ``task``, its priority already set for queue ``target``,
+        off queue ``source``; re-price both.  Charges one standard PI
+        step at the longer queue."""
+        old = self._queue_at(source)
+        new = self._queue_at(target)
+        old.remove(task)
+        task.csd_queue = target
+        new.add(task)
+        self._price(old)
+        self._price(new)
+        return self.model.pi_standard_step(max(len(old), len(new)))
 
     def _swap_with_placeholder(
         self, holder: Schedulable, placeholder: Schedulable

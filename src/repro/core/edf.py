@@ -25,19 +25,15 @@ class EDFScheduler(Scheduler):
     def __init__(self, model: Optional[OverheadModel] = None):
         super().__init__(model)
         self.queue = UnsortedQueue("EDF")
-        # Charged costs depend only on the queue length; memoize them
-        # per length so the per-dispatch hot path pays a C-level dict
-        # lookup instead of a model method call (the model is immutable
-        # after construction).
-        self._block_costs: dict = {}
-        self._unblock_costs: dict = {}
-        self._select_costs: dict = {}
+        self._price(self.queue)
 
     def add_task(self, task: Schedulable) -> None:
         self.queue.add(task)
+        self._price(self.queue)
 
     def remove_task(self, task: Schedulable) -> None:
         self.queue.remove(task)
+        self._price(self.queue)
 
     def tasks(self) -> List[Schedulable]:
         return list(self.queue)
@@ -54,32 +50,26 @@ class EDFScheduler(Scheduler):
         deadline, key = task.edf_rank()
         return (0, deadline, key)
 
+    def _price(self, queue: UnsortedQueue) -> None:
+        n = len(queue)
+        model = self.model
+        queue.t_b = model.edf_block(n)
+        queue.t_u = model.edf_unblock(n)
+        queue.t_s = model.edf_select(n)
+
     def _block(self, task: Schedulable) -> int:
         queue = self.queue
         queue.block(task)
-        n = len(queue._tasks)
-        cost = self._block_costs.get(n)
-        if cost is None:
-            cost = self._block_costs[n] = self.model.edf_block(n)
-        return cost
+        return queue.t_b
 
     def _unblock(self, task: Schedulable) -> int:
         queue = self.queue
         queue.unblock(task)
-        n = len(queue._tasks)
-        cost = self._unblock_costs.get(n)
-        if cost is None:
-            cost = self._unblock_costs[n] = self.model.edf_unblock(n)
-        return cost
+        return queue.t_u
 
     def _select(self) -> Tuple[Optional[Schedulable], int]:
         queue = self.queue
-        task = queue.select()
-        n = len(queue._tasks)
-        cost = self._select_costs.get(n)
-        if cost is None:
-            cost = self._select_costs[n] = self.model.edf_select(n)
-        return task, cost
+        return queue.select(), queue.t_s
 
     def _raise_priority(self, task: Schedulable, donor: Schedulable) -> int:
         # DP tasks are not kept sorted, so inheritance is an O(1)

@@ -140,6 +140,9 @@ class UnsortedQueue:
         self._tasks: List[Schedulable] = []
         self.ready_count = 0
         self.last_scan_steps = 0
+        #: Charges of block, unblock and select at the current length
+        #: (ns), priced by the owning scheduler's ``_price``.
+        self.t_b = self.t_u = self.t_s = 0
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -276,6 +279,9 @@ class SortedQueue:
         self._size = 0
         self.ready_count = 0
         self.last_scan_steps = 0
+        #: Charges of block, unblock and select at the current length
+        #: (ns), priced by the owning scheduler's ``_price``.
+        self.t_b = self.t_u = self.t_s = 0
 
     def __len__(self) -> int:
         return self._size

@@ -31,16 +31,15 @@ class RMScheduler(Scheduler):
     def __init__(self, model: Optional[OverheadModel] = None):
         super().__init__(model)
         self.queue = SortedQueue("FP")
-        # Per-length cost memos; see EDFScheduler.__init__.
-        self._block_costs: dict = {}
-        self._unblock_costs: dict = {}
-        self._select_costs: dict = {}
+        self._price(self.queue)
 
     def add_task(self, task: Schedulable) -> None:
         self.queue.add(task)
+        self._price(self.queue)
 
     def remove_task(self, task: Schedulable) -> None:
         self.queue.remove(task)
+        self._price(self.queue)
 
     def tasks(self) -> List[Schedulable]:
         return list(self.queue)
@@ -56,32 +55,26 @@ class RMScheduler(Scheduler):
     def check_invariants(self) -> None:
         self.queue.check_invariants()
 
+    def _price(self, queue: SortedQueue) -> None:
+        n = len(queue)
+        model = self.model
+        queue.t_b = model.rm_block(n)
+        queue.t_u = model.rm_unblock(n)
+        queue.t_s = model.rm_select(n)
+
     def _block(self, task: Schedulable) -> int:
         queue = self.queue
         queue.block(task)
-        n = queue._size
-        cost = self._block_costs.get(n)
-        if cost is None:
-            cost = self._block_costs[n] = self.model.rm_block(n)
-        return cost
+        return queue.t_b
 
     def _unblock(self, task: Schedulable) -> int:
         queue = self.queue
         queue.unblock(task)
-        n = queue._size
-        cost = self._unblock_costs.get(n)
-        if cost is None:
-            cost = self._unblock_costs[n] = self.model.rm_unblock(n)
-        return cost
+        return queue.t_u
 
     def _select(self) -> Tuple[Optional[Schedulable], int]:
         queue = self.queue
-        task = queue.select()
-        n = queue._size
-        cost = self._select_costs.get(n)
-        if cost is None:
-            cost = self._select_costs[n] = self.model.rm_select(n)
-        return task, cost
+        return queue.select(), queue.t_s
 
     def _raise_priority(self, task: Schedulable, donor: Schedulable) -> int:
         task.effective_key = donor.effective_key

@@ -6,6 +6,9 @@ nanoseconds, computed from the :class:`~repro.core.overhead.OverheadModel`
 exactly as Section 5.1 accounts it: ``t_b`` when a task blocks, ``t_u``
 when a task unblocks, and ``t_s`` each time the next task to run is
 selected (which the kernel does after every block and unblock).
+Each is a function of the queue length alone (Table 1), so EDF, RM and
+CSD price a queue whenever its length changes (``_price``); RM-heap
+prices each call.
 
 Priority inheritance is exposed as three primitives used by the
 semaphore implementations of Section 6:

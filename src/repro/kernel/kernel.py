@@ -457,6 +457,10 @@ class Kernel:
             if sem is not None and hasattr(sem, "on_hint_unblock"):
                 if sem.on_hint_unblock(self, thread):
                     self.requeue_thread(thread, "sem-parked", sem)
+                    # A running holder was the only thread the park
+                    # boosted, and that never calls for a switch.
+                    if self.running is not sem.holder:
+                        self._need_resched = True
                     return
         self.unblock_thread(thread)
 
@@ -684,7 +688,8 @@ class Kernel:
             return
         thread.restart_count += 1
         backoff = thread.restart_backoff_ns * (2 ** (thread.restart_count - 1))
-        self.trace.job_aborted(thread.name, thread.job_no, self.now)
+        self.trace.job_aborted(thread.job, self.now)
+        thread.job = None
         self._detach_from_waits(thread)
         if thread.ready:
             cost = self.scheduler.on_block(thread)
@@ -740,7 +745,8 @@ class Kernel:
     def _abort_job(self, thread: Thread) -> None:
         """Abandon the current job: close its record (no completion),
         then retire the thread exactly like a completion would."""
-        self.trace.job_aborted(thread.name, thread.job_no, self.now)
+        self.trace.job_aborted(thread.job, self.now)
+        thread.job = None
         thread.op_started = False
         thread.read_token = None
         self._retire_job(thread)
@@ -830,7 +836,7 @@ class Kernel:
         deadline = None if relative is None else release + relative
         thread.abs_deadline = deadline
         thread.rank_cache = None
-        record = self.trace.job_released(thread.name, release, deadline, thread.job_no)
+        record = thread.job = self.trace.job_released(thread.name, release, deadline)
         if self._miss_handlers or self.stop_on_deadline_miss:
             self._arm_deadline_check(thread, record)
 
@@ -863,14 +869,10 @@ class Kernel:
         self.schedule_event(record.deadline, check, f"dl:{thread.name}")
 
     def _complete_job(self, thread: Thread) -> None:
-        record = self.trace.job_completed(
-            thread.name, thread.job_no, self.clock.now
-        )
-        if (
-            self.stop_on_deadline_miss
-            and record is not None
-            and record.missed
-        ):
+        record = thread.job
+        thread.job = None
+        self.trace.job_completed(record, self.clock.now)
+        if self.stop_on_deadline_miss and record is not None and record.missed:
             self._stop = True
         self._retire_job(thread)
 
@@ -916,7 +918,7 @@ class Kernel:
         # Inlined scheduler.select() (the stats wrapper): one frame per
         # dispatch, and _dispatch runs twice per job.
         sched = self.scheduler
-        selected, cost = sched._select()
+        new, cost = sched._select()
         stats = sched.stats
         stats.selects += 1
         stats.charged_select_ns += cost
@@ -932,7 +934,6 @@ class Kernel:
             kernel_time["sched"] = kernel_time.get("sched", 0) + cost
             if trace.record_segments:
                 trace.add_segment(start, end, KERNEL)
-        new = selected if isinstance(selected, Thread) else None
         if new is self.running:
             return
         old = self.running
@@ -948,8 +949,6 @@ class Kernel:
             )
             if trace.record_segments:
                 trace.add_segment(start, start + cs, KERNEL)
-        # The switched-out thread was preempted when it waits for nothing.
-        preempted = old is not None and old.wait_kind is None
         self.running = new
         self.trace.context_switch(
             self.clock.now, old.name if old else None, new.name if new else None
@@ -966,7 +965,8 @@ class Kernel:
                 obs.queue_depth_max = depth
             if new is not None:
                 new.obs_dispatches += 1
-            if preempted:
+            # Preempted: switched out while it waits for nothing.
+            if old is not None and old.wait_kind is None:
                 old.obs_preemptions += 1
 
     def _dispatch_if_needed(self) -> None:
@@ -1147,8 +1147,23 @@ class Kernel:
                 return
             thread.read_token = None
         # Inlined self._finish_op(thread); remaining is already 0 here.
-        thread.pc += 1
+        thread.pc = pc = thread.pc + 1
         thread.op_started = False
+        # The job's last op ended: complete it here in exactly the state
+        # in which the run loop's next round would do nothing else (no
+        # heap entry due, even a cancelled one; no reschedule or stop
+        # pending; t_end ahead).
+        if (
+            pc >= thread._ops_len
+            and end < t_end
+            and not self._need_resched
+            and not self._stop
+        ):
+            heap = self.events._heap
+            if not heap or heap[0][0] > end:
+                self._complete_job(thread)
+                if self._need_resched:
+                    self._dispatch()
 
     def _finish_op(self, thread: Thread) -> None:
         thread.pc += 1

@@ -25,6 +25,7 @@ from repro.kernel.program import Program
 if TYPE_CHECKING:
     from repro.kernel.process import Process
     from repro.sim.engine import ScheduledEvent
+    from repro.sim.trace import JobRecord
 
 __all__ = ["Thread"]
 
@@ -61,6 +62,7 @@ class Thread(Schedulable):
         "pc",
         "remaining",
         "job_no",
+        "job",
         "release_time",
         "pending_releases",
         "relative_deadline",
@@ -137,6 +139,9 @@ class Thread(Schedulable):
         self.remaining = 0
         #: Number of the job currently executing (1-based).
         self.job_no = 0
+        #: The current job's trace record while it is open; ``None``
+        #: once the kernel has completed or aborted it.
+        self.job: Optional["JobRecord"] = None
         #: Nominal release time of the current job.
         self.release_time = 0
         #: Releases that arrived while a previous job was still running.

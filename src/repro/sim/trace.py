@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.timeunits import to_ms, to_us
 
@@ -162,7 +162,6 @@ class Trace:
         "context_switches",
         "kernel_time",
         "idle_time",
-        "_open_jobs",
         "_events_digest",
         "_events_hashed",
         "_closed_jobs_text",
@@ -185,7 +184,6 @@ class Trace:
         #: charge paths (:meth:`repro.kernel.kernel.Kernel.charge`).
         self.kernel_time: Dict[str, int] = {}
         self.idle_time = 0
-        self._open_jobs: Dict[Tuple[str, int], JobRecord] = {}
         # What :meth:`signature` has already covered: a running digest
         # of the events' text and the encoded text of the closed jobs.
         self._events_digest = hashlib.sha256(b"((")
@@ -218,32 +216,30 @@ class Trace:
             self.events.append((time, kind, detail))
 
     def job_released(
-        self, thread: str, release: int, deadline: int, job_no: int
+        self, thread: str, release: int, deadline: Optional[int]
     ) -> JobRecord:
-        """Open a job record at its (nominal) release."""
+        """Open a job record at its (nominal) release and return it; the
+        caller (the kernel, in ``Thread.job``) closes it exactly once."""
         record = JobRecord(thread, release, deadline)
         self.jobs.append(record)
-        self._open_jobs[(thread, job_no)] = record
         return record
 
-    def job_completed(self, thread: str, job_no: int, completion: int) -> Optional[JobRecord]:
-        """Close a job record; notes a deadline miss when late."""
-        record = self._open_jobs.pop((thread, job_no), None)
+    def job_completed(self, record: Optional[JobRecord], completion: int) -> None:
+        """Close an open job record; notes a deadline miss when late.
+        ``None`` (no job open) changes nothing."""
         if record is not None:
             record.completion = completion
             deadline = record.deadline
             if deadline is not None and completion > deadline:
-                self.note(completion, "deadline-miss", thread)
-        return record
+                self.note(completion, "deadline-miss", record.thread)
 
-    def job_aborted(self, thread: str, job_no: int, time: int) -> Optional[JobRecord]:
-        """Close a job record without a completion (the job was
-        abandoned by budget enforcement, a crash, or a restart)."""
-        record = self._open_jobs.pop((thread, job_no), None)
+    def job_aborted(self, record: Optional[JobRecord], time: int) -> None:
+        """Close an open job record without a completion (the job was
+        abandoned by budget enforcement, a crash, or a restart).
+        ``None`` (no job open) changes nothing."""
         if record is not None:
             record.aborted = True
-            self.note(time, "job-aborted", thread)
-        return record
+            self.note(time, "job-aborted", record.thread)
 
     def context_switch(self, time: int, old: Optional[str], new: Optional[str]) -> None:
         """Count and note one context switch."""
@@ -280,10 +276,10 @@ class Trace:
           one.  The jobs follow the events in the hashed text, so they
           wait as text instead of entering the digest.  Sound because
           records are appended only by :meth:`job_released`, and a
-          record is final once it leaves ``_open_jobs``.  Its
-          ``completion`` or ``aborted`` shows that it has: the trace
-          sets either only as it removes the record from there, and
-          never touches it again.
+          record is final once it is closed.  Its ``completion`` or
+          ``aborted`` shows that it is: the trace sets either only as
+          :meth:`job_completed` or :meth:`job_aborted` closes the
+          record, which its holder does once and then drops.
 
         Each call then finishes a copy of the digest with the close of
         the events' tuple, the job tuples and, with

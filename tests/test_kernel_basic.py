@@ -125,6 +125,18 @@ class TestDeadlineHandling:
         k.run_until(ms(100))
         assert k.now == ms(100)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_job_ending_at_its_deadline_instant_does_not_stop_the_run(self):
+        """The job's last op ends at 5 ms, its deadline, where the next
+        release and the ``dl:`` check are due too.  The completion step
+        in ``_step_timed`` runs only when no event is due at that
+        instant, so the check still fires first and stops the run."""
+        k = zero_kernel(stop_on_deadline_miss=True)
+        k.create_thread("t", Program([Compute(ms(5))]), period=ms(5))
+        trace = k.run_until(ms(20))
+        assert not trace.deadline_violations(k.now)
+        assert k.now == ms(20)
+
 
 class TestAperiodicThreads:
     def test_needs_priority(self):
@@ -229,6 +241,22 @@ class TestRunLoop:
         k = zero_kernel()
         trace = k.run_until(ms(10))
         assert trace.idle_time == ms(10)
+
+    def test_job_completes_in_the_step_that_ends_it(self):
+        """A job whose last op ends before the horizon, with no event
+        due by then, completes at that instant; one that ends at the
+        horizon completes in the next run, as the loop's next round
+        would have done."""
+        k = zero_kernel()
+        k.create_thread("t", Program([Compute(ms(2))]), period=ms(10))
+        trace = k.run_until(ms(3))
+        assert trace.jobs[0].completion == ms(2)
+        trace = k.run_until(ms(12))
+        assert trace.jobs[1].completion is None
+        assert k.threads["t"].job is trace.jobs[1]
+        k.run_until(ms(13))
+        assert trace.jobs[1].completion == ms(12)
+        assert k.threads["t"].job is None
 
     def test_duplicate_names_rejected(self):
         k = zero_kernel()

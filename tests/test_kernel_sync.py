@@ -16,6 +16,7 @@ from repro.kernel.program import (
     Signal,
     Wait,
 )
+from repro.sim.semexp import _build_scenario
 from repro.sync.semaphore import SemaphoreError
 from repro.timeunits import ms, us
 
@@ -441,12 +442,6 @@ class TestEmeraldsScheme:
         # T2 completed after the second F (it was frozen meanwhile).
         assert trace.jobs_of("T2")[0].completion > us(500)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="park-without-reschedule: the hint check parks high and "
-        "boosts the holder but requests no reschedule, so a running "
-        "middle-priority thread keeps the CPU (ROADMAP item 8)",
-    )
     def test_hint_park_reschedules_to_the_boosted_holder(self):
         for scheduler in (RMScheduler, EDFScheduler):
             k = Kernel(scheduler(ZERO_OVERHEAD), sem_scheme="emeralds")
@@ -466,8 +461,30 @@ class TestEmeraldsScheme:
             )
             trace = k.run_until(ms(60))
             assert k.semaphores["m"].parks == 1
-            # The standard scheme's 4.1 ms; the park path gives 54.0 ms.
+            # The standard scheme's 4.1 ms; a park that asked for no
+            # reschedule left noise running until 54.0 ms.
             assert trace.jobs_of("high")[0].completion == us(4100)
+
+    @pytest.mark.parametrize("queue", ["dp", "fp"])
+    def test_park_under_a_running_holder_charges_no_select(self, queue):
+        """Figure 6's case: T1 runs inside its critical section when E
+        wakes T2, whose hint parks it on S.  The boosted holder is the
+        thread already running, so the park selects nothing; Figure 11's
+        EMERALDS curve stays flat on the FP queue and at half the
+        standard slope on the DP queue."""
+        kernel, _ = _build_scenario(queue, "emeralds", 15, None)
+        sem = kernel.semaphores["S"]
+        while not sem.locked:
+            kernel.run_for(us(10))
+        t1 = kernel.threads["T1"]
+        assert kernel.running is t1 and sem.holder is t1
+        selects = kernel.scheduler.stats.selects
+        kernel.events_by_name["E"].signal(kernel)
+        kernel.run_until(kernel.now)
+        assert sem.parks == 1
+        assert kernel.threads["T2"].blocked_on == "sem-parked:S"
+        assert kernel.running is t1
+        assert kernel.scheduler.stats.selects == selects
 
     def test_swap_pi_used_on_fp_queue(self):
         k = Kernel(RMScheduler(ZERO_OVERHEAD), sem_scheme="emeralds")

@@ -21,3 +21,12 @@ def test_spread_on_fixed_rounds():
     median, q1, q3, distance = spread([0.50, 0.52, 0.48, 0.51])
     assert (median, q1, q3) == pytest.approx((0.505, 0.485, 0.5175))
     assert distance == pytest.approx(0.0325 / 0.505)
+
+
+def test_work_line_on_fixed_counts():
+    work_line = _pairs().work_line
+    assert work_line(1_778_983, 1_359_970) == (
+        "calls per round: base 1,778,983, change 1,359,970, "
+        "ratio (base/change) 1.308"
+    )
+    assert work_line(10, 10).endswith("ratio (base/change) 1.000")

@@ -11,8 +11,10 @@ regressions against the committed baseline.
 import argparse
 import ast
 import collections
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.overhead import OverheadModel
 from repro.perf.counters import PerfReport, collect_report, merge_reports
 from repro.perf.profiler import profile_call
 from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
+from repro.perf.workcount import count_calls
 from repro.perf.trajectory import (
     RegressionError,
     append_entry,
@@ -428,10 +431,50 @@ def test_profile_call_returns_result_and_stats():
 
 
 # ----------------------------------------------------------------------
+# work counts
+# ----------------------------------------------------------------------
+def test_count_calls_counts_python_and_c_calls():
+    def body():
+        return sum(len(word) for word in ("ab", "cde"))
+
+    # body, sum, the generator (entered three times), len twice.
+    assert count_calls(body) == (5, 7)
+    assert count_calls(len, [1, 2]) == (2, 1)
+    with pytest.raises(RuntimeError, match="in use"):
+        count_calls(count_calls, len, [])
+
+
+def test_work_count_of_a_kernel_lean_round_repeats(monkeypatch):
+    """A short-horizon simbench kernel-lean round makes the same number
+    of calls each time: the count is a deterministic measure of work."""
+    spec = importlib.util.spec_from_file_location(
+        "simbench_workloads", _REPO / "simbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    lean = workloads.KernelLean(horizon_ns=ms(60))
+    counted = []
+    for _ in range(2):
+        kernels, calls = count_calls(lean.run, lean.setup(11), None)
+        counted.append((calls, lean.check(kernels).ops))
+    assert counted[0][0] > 10_000
+    assert counted[0] == counted[1]
+
+
+# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def test_perf_cli_append_and_check(tmp_path, capsys):
-    """End-to-end: measure, append, then re-check against the entry."""
+    """End-to-end: measure, append, then re-check against the entry.
+
+    The re-check gates a second wall-clock measurement, and on a small
+    shared VM throughput swings by more than the gate's 30% between two
+    runs, so the appended entry's throughput is rewritten to one the
+    floor cannot trip: the test pins the append, check and signature
+    wiring, not the host's speed (``test_perf_cli_regression_failure``
+    fakes its baseline the same way to pin the failing side).
+    """
     from repro.reproduce import main
 
     traj = tmp_path / "traj.json"
@@ -450,6 +493,8 @@ def test_perf_cli_append_and_check(tmp_path, capsys):
     assert entries[0]["throughput_sim_ns_per_s"] > 0
     assert set(entries[0]["signatures_full"]) == {"edf", "rm", "csd-3"}
 
+    entries[0]["throughput_sim_ns_per_s"] = 1
+    traj.write_text(json.dumps(entries))
     # Second run now has a baseline with the same config hash.
     rc = main(["perf", "--check", str(traj)])
     assert rc == 0

@@ -11,13 +11,22 @@ reference answer.
 
 Keys and deadlines are globally unique, so the reference selection is
 a total order and the comparison is exact -- no tie-break ambiguity.
+
+The schedulers price each queue once per length, so a second churn
+drives EDF, RM, CSD-2 and CSD-3 through joins, leaves and CSD's
+cross-queue PI migrations, and checks every ``_block``/``_unblock``/
+``_select`` charge against the model at the queue's current length.
 """
 
 import random
 
 import pytest
 
+from repro.core.csd import CSDScheduler
+from repro.core.edf import EDFScheduler
+from repro.core.overhead import OverheadModel
 from repro.core.queues import ReadyHeap, Schedulable, SortedQueue, UnsortedQueue
+from repro.core.rm import RMScheduler
 
 SEEDS = [0, 1, 2, 3, 4]
 OPS = 400
@@ -168,3 +177,92 @@ def test_sorted_queue_swap_and_move_keep_invariants():
         order = queue.tasks()
         first_ready = next((t for t in order if t.ready), None)
         assert queue.select() is first_ready
+
+
+class _SlopedModel(OverheadModel):
+    """Table 1 with every block, unblock and select charge growing with
+    the queue length, so a charge priced at a stale length shows."""
+
+    def edf_block(self, n: int) -> int:
+        return 1_000 + 3 * n
+
+    def edf_unblock(self, n: int) -> int:
+        return 2_000 + 5 * n
+
+    def rm_unblock(self, n: int) -> int:
+        return 3_000 + 7 * n
+
+    def rm_select(self, n: int) -> int:
+        return 4_000 + 11 * n
+
+
+#: Policy -> (scheduler factory, queue kinds highest first).
+POLICIES = {
+    "edf": (EDFScheduler, ["dp"]),
+    "rm": (RMScheduler, ["fp"]),
+    "csd-2": (lambda model: CSDScheduler(model, dp_queue_count=1), ["dp", "fp"]),
+    "csd-3": (lambda model: CSDScheduler(model, dp_queue_count=2), ["dp", "dp", "fp"]),
+}
+
+
+def _charges(model, kind, n, parse):
+    """The model's ``(t_b, t_u, t_s)`` on a ``kind`` queue of length n."""
+    if kind == "dp":
+        return model.edf_block(n), model.edf_unblock(n), parse + model.edf_select(n)
+    return model.rm_block(n), model.rm_unblock(n), parse + model.rm_select(n)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charges_follow_queue_length_through_churn(policy, seed):
+    factory, kinds = POLICIES[policy]
+    model = _SlopedModel()
+    sched = factory(model)
+    parse = len(kinds) * model.queue_parse_ns if policy.startswith("csd") else 0
+    churn = _Churn(seed)
+    rng = churn.rng
+    home = {}  # task -> queue it was added to
+    at = {}  # task -> queue it is on now (a PI migration moves it)
+
+    def charges(queue):
+        n = sum(1 for q in at.values() if q == queue)
+        return _charges(model, kinds[queue], n, parse)
+
+    for _ in range(OPS):
+        roll = rng.random()
+        members = list(at)
+        if roll < 0.25 or not members:
+            task = churn.new_task()
+            task.csd_queue = rng.randrange(len(kinds))
+            sched.add_task(task)
+            home[task] = at[task] = task.csd_queue
+        elif roll < 0.35:
+            task = rng.choice(members)
+            sched.remove_task(task)
+            del home[task], at[task]
+        elif roll < 0.55 and any(t.ready for t in members):
+            task = rng.choice([t for t in members if t.ready])
+            assert sched._block(task) == charges(at[task])[0]
+        elif roll < 0.75 and not all(t.ready for t in members):
+            task = rng.choice([t for t in members if not t.ready])
+            assert sched._unblock(task) == charges(at[task])[1]
+        elif roll < 0.9:
+            # Cross-queue PI: the holder migrates up to the donor's queue.
+            pairs = [(h, d) for h in members for d in members if at[d] < at[h]]
+            if pairs:
+                holder, donor = rng.choice(pairs)
+                sched.raise_priority(holder, donor)
+                at[holder] = at[donor]
+        else:
+            migrated = [t for t in members if at[t] != home[t]]
+            if migrated:
+                holder = rng.choice(migrated)
+                sched.restore_priority(holder)
+                at[holder] = home[holder]
+        live = [at[t] for t in at if t.ready and kinds[at[t]] == "dp"]
+        parsed = min(live) if live else len(kinds) - 1
+        _, cost = sched._select()
+        assert cost == charges(parsed)[2]
+        for task, queue in at.items():
+            assert sched.queue_index_of(task) == queue
+        sched.check_invariants()

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.edf import EDFScheduler
+from repro.core.overhead import ZERO_OVERHEAD
 from repro.obs.analyzers import response_percentiles
 from repro.kernel.kernel import Kernel
+from repro.kernel.program import Compute, Program
 from repro.sim.trace import IDLE, KERNEL, JobRecord, Segment, Trace
 from repro.timeunits import ms
 
@@ -70,23 +73,24 @@ class TestKernelTime:
 class TestJobs:
     def test_job_lifecycle(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
-        record = t.job_completed("a", 1, 60)
-        assert record is not None
+        record = t.job_released("a", 0, 100)
+        assert t.jobs == [record]
+        assert record.completion is None
+        t.job_completed(record, 60)
         assert not record.missed
         assert record.response_time == 60
 
     def test_deadline_miss_detected(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
-        record = t.job_completed("a", 1, 150)
+        record = t.job_released("a", 0, 100)
+        t.job_completed(record, 150)
         assert record.missed
         assert t.misses() == [record]
         assert any(kind == "deadline-miss" for _, kind, _ in t.events)
 
     def test_unfinished_overdue_jobs(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
+        t.job_released("a", 0, 100)
         assert t.unfinished(50) == []
         assert len(t.unfinished(200)) == 1
         assert len(t.deadline_violations(200)) == 1
@@ -97,16 +101,40 @@ class TestJobs:
 
     def test_jobs_of_and_max_response(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
-        t.job_completed("a", 1, 40)
-        t.job_released("a", 100, 200, 2)
-        t.job_completed("a", 2, 180)
+        t.job_completed(t.job_released("a", 0, 100), 40)
+        t.job_completed(t.job_released("a", 100, 200), 180)
         assert len(t.jobs_of("a")) == 2
         assert response_percentiles(t)["a"]["max"] == 80
 
-    def test_unknown_completion_ignored(self):
-        t = Trace()
-        assert t.job_completed("ghost", 9, 10) is None
+    def test_completion_without_an_open_record_changes_no_record(self):
+        """The kernel closes a job through the open record on its
+        thread; a thread whose record is already closed completes none."""
+        k = Kernel(EDFScheduler(ZERO_OVERHEAD))
+        k.create_thread("a", Program([Compute(ms(2))]), period=ms(10))
+        k.run_until(ms(1))
+        thread = k.threads["a"]
+        record = thread.job
+        assert k.trace.jobs == [record]
+        k.trace.job_aborted(record, k.now)
+        thread.job = None
+        before = [_job_fields(job) for job in k.trace.jobs]
+        k.run_until(ms(5))
+        assert thread.blocked_on == "period" and thread.job is None
+        assert [_job_fields(job) for job in k.trace.jobs] == before
+
+    def test_restart_between_jobs_aborts_no_record(self):
+        """A crash with a restart aborts the open job, if there is one:
+        after a completion there is none, and the completed record
+        stays as it was."""
+        k = Kernel(EDFScheduler(ZERO_OVERHEAD))
+        k.create_thread("a", Program([Compute(ms(2))]), period=ms(10))
+        k.set_restart_policy("a", max_restarts=1)
+        k.run_until(ms(5))
+        k.crash_thread("a")
+        assert k.threads["a"].restart_count == 1
+        assert [_job_fields(job) for job in k.trace.jobs] == [
+            ("a", 0, ms(10), ms(2), False)
+        ]
 
 
 class TestRendering:
@@ -125,8 +153,7 @@ class TestRendering:
 
     def test_summary_mentions_misses(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
-        t.job_completed("a", 1, 150)
+        t.job_completed(t.job_released("a", 0, 100), 150)
         assert "deadline violations: 1" in t.summary(200)
 
     def test_context_switch_counting(self):
@@ -156,32 +183,27 @@ class TestRecordModeGuards:
 class TestSummary:
     def test_counts_late_and_overdue_separately(self):
         t = Trace()
-        t.job_released("a", 0, 100, 1)
-        t.job_completed("a", 1, 150)  # late
-        t.job_released("b", 0, 100, 1)  # never completes: overdue
+        t.job_completed(t.job_released("a", 0, 100), 150)  # late
+        t.job_released("b", 0, 100)  # never completes: overdue
         text = t.summary(200)
         assert "deadline violations: 2 (1 late, 1 overdue unfinished)" in text
 
     def test_reports_per_task_response_stats(self):
         t = Trace()
-        t.job_released("a", 0, 1000, 1)
-        t.job_completed("a", 1, 100)
-        t.job_released("a", 1000, 2000, 2)
-        t.job_completed("a", 2, 1300)
+        t.job_completed(t.job_released("a", 0, 1000), 100)
+        t.job_completed(t.job_released("a", 1000, 2000), 1300)
         text = t.summary(2000)
         assert "a:" in text
         assert "p95" in text or "max" in text
 
 
+def _job_fields(job):
+    return (job.thread, job.release, job.deadline, job.completion, job.aborted)
+
+
 def oracle_signature(trace, include_segments=False):
     """:meth:`Trace.signature` by its definition, hashed in one shot."""
-    fingerprint = (
-        tuple(trace.events),
-        tuple(
-            (j.thread, j.release, j.deadline, j.completion, j.aborted)
-            for j in trace.jobs
-        ),
-    )
+    fingerprint = (tuple(trace.events), tuple(map(_job_fields, trace.jobs)))
     if include_segments:
         fingerprint += (tuple((s.start, s.end, s.who) for s in trace.segments),)
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
@@ -236,14 +258,13 @@ class TestSignature:
                 trace.note(step[1], "event", step[2])
             elif op == "release":
                 released += 1
-                trace.job_released(step[1], released, step[2], released)
-                open_jobs.append((step[1], released))
+                open_jobs.append(trace.job_released(step[1], released, step[2]))
             elif op in ("complete", "abort") and open_jobs:
-                thread, job_no = open_jobs.pop(step[1] % len(open_jobs))
+                record = open_jobs.pop(step[1] % len(open_jobs))
                 if op == "complete":
-                    trace.job_completed(thread, job_no, step[2])
+                    trace.job_completed(record, step[2])
                 else:
-                    trace.job_aborted(thread, job_no, step[2])
+                    trace.job_aborted(record, step[2])
             elif op == "segment":
                 _, gap, length, who = step
                 trace.add_segment(end + gap, end + gap + length, who)
@@ -261,10 +282,12 @@ class TestSignature:
         trace = Trace()
         for n in range(1, 2601):
             trace.note(n, "event", "x")
-            trace.job_released("a", n, n + 5, n)
-            if n > 1:
-                trace.job_completed("a", n, n + 1)
+            record = trace.job_released("a", n, n + 5)
+            if n == 1:
+                first = record
+            else:
+                trace.job_completed(record, n + 1)
             if n in (1500, 2600):
                 assert trace.signature() == oracle_signature(trace)
-        trace.job_aborted("a", 1, 2601)
+        trace.job_aborted(first, 2601)
         assert trace.signature(True) == oracle_signature(trace, True)
