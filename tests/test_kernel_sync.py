@@ -461,8 +461,8 @@ class TestEmeraldsScheme:
             )
             trace = k.run_until(ms(60))
             assert k.semaphores["m"].parks == 1
-            # The standard scheme's 4.1 ms; a park that asked for no
-            # reschedule left noise running until 54.0 ms.
+            # The standard scheme's 4.1 ms; a park that asks for no
+            # reschedule leaves noise running until 54.0 ms.
             assert trace.jobs_of("high")[0].completion == us(4100)
 
     @pytest.mark.parametrize("queue", ["dp", "fp"])
